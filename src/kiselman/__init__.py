@@ -26,7 +26,7 @@ from .conjectures import (
     enumerate_dags,
 )
 from .errors import HkDisagreementError, ResourceGuardError
-from .hecke import HkClasses, HkPresentation, enumerate_hk, hk_element_of
+from .hecke import HkClasses, HkPresentation, enumerate_hk
 from .sds import (
     Dag,
     DynamicsMap,

@@ -15,9 +15,10 @@ import sys
 from .canonical import canonical_form, enumerate_kn, multiply
 from .conjectures import conjecture_sweep
 from .errors import HkDisagreementError, ResourceGuardError
-from .hecke import enumerate_hk
+from .hecke import MAX_VERTICES, enumerate_hk
 from .sds import (
     check_hk_relations,
+    check_vertex_count,
     complete_dag,
     dag_from_json,
     dag_to_json,
@@ -39,10 +40,14 @@ def _emit_json(payload: dict):
 
 
 def _load_graph(source: str):
+    """Read a graph, refusing more vertices than HK enumeration allows
+    before any edge is built."""
     if source.startswith("complete:"):
-        return complete_dag(int(source.split(":", 1)[1]))
+        n = int(source.split(":", 1)[1])
+        check_vertex_count(n, MAX_VERTICES)
+        return complete_dag(n)
     with open(source, encoding="utf-8") as fh:
-        return dag_from_json(json.load(fh))
+        return dag_from_json(json.load(fh), max_vertices=MAX_VERTICES)
 
 
 def _load_system(path: str):
@@ -138,7 +143,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     system = _load_system(args.system)
-    limit = args.max_elements or 10 ** 6
+    limit = 10 ** 6 if args.max_elements is None else args.max_elements
     monoid = system.dynamics_monoid(max_size=limit)
     if args.json:
         payload = {"state_count": system.state_count(), "size": monoid.size}
@@ -224,12 +229,19 @@ def _cmd_conjecture_sweep(args) -> int:
     return 0 if report.ok else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON document on stdout")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--max-elements", type=int, default=None,
+    common.add_argument("--max-elements", type=_positive_int, default=None,
                         help="element guard for enumerations")
     common.add_argument("--format", choices=("letters", "indices"),
                         default="letters", help="word rendering")

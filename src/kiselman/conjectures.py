@@ -224,7 +224,7 @@ class SweepReport:
 
 def conjecture_sweep(max_vertices: int = 4, search_on_mismatch: bool = False,
                      search_trials: int = 25, search_max_states: int = 3,
-                     seed: int = 0, hk_max_words: int = 3_000_000) -> SweepReport:
+                     seed: int = 0) -> SweepReport:
     """Compare |HK| with the join-based dynamics on every small DAG.
 
     Guard overruns become per-row skips, never silent drops.  When a row
@@ -237,7 +237,7 @@ def conjecture_sweep(max_vertices: int = 4, search_on_mismatch: bool = False,
         row = SweepRow(dag)
         started = time.perf_counter()
         try:
-            hk = enumerate_hk(dag, max_words=hk_max_words)
+            hk = enumerate_hk(dag)
             system = build_universal_dag(dag)
             relations = check_hk_relations(system)
             monoid = system.dynamics_monoid()

@@ -8,16 +8,18 @@ a_1, ..., a_n subject to
 
 Elements are enumerated by two independent routes that must agree:
 
-Algorithm A (primary): union-find over all words up to a length bound L,
-merging words related by a single relation application (idempotent
-contraction, the three-way edge relation in every direction, commutation
-swaps).  The edge relation lengthens words, so words near the bound may miss
-merges that pass through longer intermediates; classes and the right
-generator action are therefore read off an interior horizon two letters
-below the bound, and L grows by two until two consecutive bounds produce
-identical class counts, representatives and action tables.  Rank arithmetic
-turns the word set into integers, pair generation is vectorised, and the
-union-find is one connected-components call.
+Todd-Coxeter (primary): coset enumeration of the right regular
+representation (Todd & Coxeter 1936; the monoid variant is in Ruskuc's
+1995 thesis), over the topologically relabelled presentation.  Cosets
+stand for words, coset 0 for the empty word.  Every defining relation
+u = v is traced from every live coset, defining cosets as needed, and the
+two ends are merged with union-find whenever they differ.  HK is finite on
+a DAG (Ganyushkin-Mazorchuk 2011), so the enumeration closes.  The closed
+table is a complete right generator action on which every relation holds
+at every coset, and every merge is a consequence of the relations, so the
+table is a certificate: its cosets are exactly the elements of HK.  A
+breadth-first pass over it from the identity, taking generators in
+increasing order, meets every class first through its shortlex-least word.
 
 Algorithm B (cross-check): over a topologically labelled DAG every defining
 relation of Kiselman's monoid K_n already holds in HK (commutation plus
@@ -33,17 +35,12 @@ mismatch; a mismatch is an implementation bug, never mathematics.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-
 from .canonical import canonical_form, enumerate_kn
 from .errors import HkDisagreementError, ResourceGuardError
-from .sds import Dag
+from .sds import Dag, check_vertex_count
 from .words import Word
 
 
@@ -88,7 +85,6 @@ class HkClasses:
     representatives: tuple[Word, ...]
     action: tuple[tuple[int, ...], ...]
     size: int
-    explored_length: int
 
     def class_of(self, w: Word) -> int:
         """Class of a word over original vertex labels, via the action fold."""
@@ -101,246 +97,100 @@ class HkClasses:
         return tuple(self.presentation.unrelabel_word(r) for r in self.representatives)
 
 
-def hk_element_of(w: Word, classes: HkClasses) -> int:
-    return classes.class_of(w)
-
-
-# -- algorithm A: bounded congruence closure over ranked words --------------
-
-
+# perfbench/workloads.py imports this at module level for hecke.words_ranked.
 def _word_count(n: int, max_len: int) -> int:
     if n == 1:
         return max_len + 1
     return (n ** (max_len + 1) - 1) // (n - 1)
 
 
-class _Partition:
-    """Connected components of the one-step relation graph on words <= L."""
-
-    def __init__(self, n: int, fwd0: np.ndarray, adj0: np.ndarray, L: int):
-        self.n = n
-        self.L = L
-        offsets = [0] * (L + 2)
-        for length in range(1, L + 2):
-            offsets[length] = offsets[length - 1] + n ** (length - 1)
-        self.offsets = offsets
-        total = offsets[L + 1]
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        for length in range(2, L + 1):
-            self._pairs_for_length(length, fwd0, adj0, srcs, dsts)
-        if srcs:
-            src = np.concatenate(srcs)
-            dst = np.concatenate(dsts)
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        graph = sparse.coo_matrix(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(total, total)
-        )
-        _, labels = connected_components(graph, directed=False)
-        self.labels = labels
-        # labels run 0..ncomp-1, so np.unique maps each label to its first,
-        # i.e. least, member rank: the length-lexicographic representative.
-        _, first = np.unique(labels, return_index=True)
-        self.rep_rank = first
-        self.interior_limit = offsets[L - 1]  # ranks of words of length <= L-2
-
-    def _pairs_for_length(self, length, fwd0, adj0, srcs, dsts):
-        n = self.n
-        base = self.offsets[length]
-        shorter = self.offsets[length - 1]
-        m = n ** length
-        pows = [n ** t for t in range(length + 1)]
-        r = np.arange(m, dtype=np.int64)
-        digs = [((r // pows[length - 1 - t]) % n).astype(np.int8) for t in range(length)]
-
-        def deletion(ranks, q):
-            keep = pows[length - 1 - q]
-            drop = pows[length - q]
-            return (ranks // drop) * keep + (ranks % keep)
-
-        for p in range(length - 1):
-            a, b = digs[p], digs[p + 1]
-            eq = a == b
-            if eq.any():
-                rr = r[eq]
-                srcs.append(base + rr)
-                dsts.append(shorter + deletion(rr, p + 1))
-            comm = (a != b) & ~adj0[a, b]
-            if comm.any():
-                rr = r[comm]
-                delta = (b[comm].astype(np.int64) - a[comm]) * (
-                    pows[length - 1 - p] - pows[length - 2 - p]
-                )
-                srcs.append(base + rr)
-                dsts.append(base + rr + delta)
-        for p in range(length - 2):
-            a, t, c = digs[p], digs[p + 1], digs[p + 2]
-            sts = (a == c) & (a != t) & adj0[a, t]
-            if not sts.any():
-                continue
-            rr = r[sts]
-            delta = (t[sts].astype(np.int64) - a[sts]) * (
-                pows[length - 1 - p] - pows[length - 2 - p] + pows[length - 3 - p]
-            )
-            srcs.append(base + rr)
-            dsts.append(base + rr + delta)
-            fwd_hit = fwd0[a, t] & sts  # edge a -> t: a t a = a t, drop the right a
-            if fwd_hit.any():
-                rr2 = r[fwd_hit]
-                srcs.append(base + rr2)
-                dsts.append(shorter + deletion(rr2, p + 2))
-            bwd = fwd0[t, a] & sts  # edge t -> a: a t a = t a, drop the left a
-            if bwd.any():
-                rr2 = r[bwd]
-                srcs.append(base + rr2)
-                dsts.append(shorter + deletion(rr2, p))
-
-    def rank(self, w: Word) -> int:
-        r = 0
-        n = self.n
-        for x in w:
-            r = r * n + (x - 1)
-        return self.offsets[len(w)] + r
-
-    def unrank(self, rk: int) -> Word:
-        length = bisect_right(self.offsets, rk) - 1
-        r = rk - self.offsets[length]
-        out = [0] * length
-        n = self.n
-        for t in range(length - 1, -1, -1):
-            r, d = divmod(r, n)
-            out[t] = d + 1
-        return tuple(out)
-
-    def label_of(self, w: Word) -> int:
-        return int(self.labels[self.rank(w)])
-
-    def rep_word(self, label: int) -> Word:
-        return self.unrank(int(self.rep_rank[label]))
-
-    def interior(self, label: int) -> bool:
-        return int(self.rep_rank[label]) < self.interior_limit
+# -- Todd-Coxeter: the closed right-regular coset table ----------------------
 
 
-def _rewrite_neighbors(u: Word, fwd, adj, cap: int) -> list[Word]:
-    """All single relation applications at ``u``, up to length ``cap``."""
-    ln = len(u)
-    out = []
-    for p in range(ln - 1):
-        a, b = u[p], u[p + 1]
-        if a == b:
-            out.append(u[:p] + u[p + 1:])
-        elif not adj[a][b]:
-            out.append(u[:p] + (b, a) + u[p + 2:])
-    for p in range(ln - 2):
-        a, t = u[p], u[p + 1]
-        if u[p + 2] == a and a != t and adj[a][t]:
-            out.append(u[:p] + (t, a, t) + u[p + 3:])
-            if fwd[a][t]:
-                out.append(u[:p] + (a, t) + u[p + 3:])
+def _relations(graph: Dag) -> list[tuple[Word, Word]]:
+    """Defining relations over generators 0..n-1 of a topologically labelled DAG."""
+    n = graph.n
+    rels = [((i, i), (i,)) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if graph.has_edge(i + 1, j + 1):
+                rels += [((i, j, i), (i, j)), ((j, i, j), (i, j))]
             else:
-                out.append(u[:p] + (t, a) + u[p + 3:])
-    if ln < cap:
-        for p in range(ln):
-            out.append(u[:p] + (u[p],) + u[p:])
-        for p in range(ln - 1):
-            a, b = u[p], u[p + 1]
-            if a != b and fwd[a][b]:
-                out.append(u[:p] + (a, b, a) + u[p + 2:])
-                out.append(u[:p] + (b, a, b) + u[p + 2:])
-    return out
+                rels.append(((i, j), (j, i)))
+    return rels
 
 
-def _bridge(part: _Partition, x: Word, fwd, adj, budget: int) -> int | None:
-    """Classify a word whose bounded class misses its short representatives.
+def _todd_coxeter(graph: Dag, max_cosets: int) -> tuple[list[Word], list[tuple[int, ...]]]:
+    """Shortlex-least representatives and right action of the closed table."""
+    n = graph.n
+    relations = _relations(graph)
+    table = [[-1] * n]  # table[c][g] = c * (g + 1), or -1 while undefined
+    parent = [0]  # union-find over cosets; a class's root is its least coset
 
-    Breadth-first search through single relation applications, allowed to
-    overshoot the bound by a couple of letters, until a word lands in an
-    interior class; classes already explored are entered through their least
-    member.  Returns the interior label, or None when the budget or length
-    cap exhausts first.
-    """
-    cap = min(len(x) + 3, part.L + 2)
-    seen = {x}
-    queue = deque([x])
-    pops = 0
-    while queue:
-        u = queue.popleft()
-        pops += 1
-        if pops > budget:
-            return None
-        if len(u) <= part.L:
-            label = part.label_of(u)
-            if part.interior(label):
-                return label
-            rep = part.rep_word(label)
-            if rep not in seen:
-                seen.add(rep)
-                queue.append(rep)
-        for v in _rewrite_neighbors(u, fwd, adj, cap):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return None
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
 
+    def trace(c: int, word: Word) -> int:
+        for g in word:
+            row = table[find(c)]
+            c = row[g]
+            if c < 0:
+                c = len(table)
+                if c >= max_cosets:
+                    raise ResourceGuardError(
+                        f"Todd-Coxeter coset guard: {c} cosets defined reach "
+                        f"the limit; raise max_cosets={max_cosets} to go further"
+                    )
+                table.append([-1] * n)
+                parent.append(c)
+                row[g] = c
+        return find(c)
 
-@dataclass
-class _View:
-    complete: bool
-    count: int
-    mapping: dict  # representative word -> tuple of target representatives
-
-    def matches(self, other: "_View") -> bool:
-        return (
-            self.complete
-            and other.complete
-            and self.count == other.count
-            and self.mapping == other.mapping
-        )
-
-
-def _action_view(part: _Partition, fwd, adj, bridge_budget: int) -> _View:
-    """Classes reachable from the identity class via the right action."""
-    n = part.n
-    id_label = part.label_of(())
-    order = [id_label]
-    position = {id_label: 0}
-    rows: list[list[int | None]] = []
-    complete = True
-    memo: dict[int, int | None] = {}
-    qi = 0
-    while qi < len(order):
-        label = order[qi]
-        qi += 1
-        rep = part.rep_word(label)
-        row: list[int | None] = []
-        for g in range(1, n + 1):
-            x = rep + (g,)
-            t = part.label_of(x)
-            if not part.interior(t):
-                if t in memo:
-                    t = memo[t]
-                else:
-                    bridged = _bridge(part, x, fwd, adj, bridge_budget)
-                    memo[t] = bridged
-                    t = bridged
-            if t is None:
-                complete = False
-                row.append(None)
+    def coincide(a: int, b: int) -> None:
+        pending = [(a, b)]
+        while pending:
+            a, b = map(find, pending.pop())
+            if a == b:
                 continue
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            row_a = table[a]
+            for g, t in enumerate(table[b]):
+                if row_a[g] < 0:
+                    row_a[g] = t
+                elif t >= 0:
+                    pending.append((row_a[g], t))
+
+    c = 0
+    while c < len(table):
+        for u, v in relations:
+            if parent[c] != c:
+                break
+            a, b = trace(c, u), trace(c, v)
+            if a != b:
+                coincide(a, b)
+        c += 1
+
+    reps: list[Word] = [()]
+    action: list[tuple[int, ...]] = []
+    position = {0: 0}
+    order = [0]
+    while len(action) < len(order):
+        k = len(action)
+        row = []
+        for g, t in enumerate(table[order[k]]):
+            t = find(t)
             if t not in position:
                 position[t] = len(order)
                 order.append(t)
-            row.append(t)
-        rows.append(row)
-    mapping = {}
-    for label, row in zip(order, rows):
-        mapping[part.rep_word(label)] = tuple(
-            None if t is None else part.rep_word(t) for t in row
-        )
-    return _View(complete, len(order), mapping)
+                reps.append(reps[k] + (g + 1,))
+            row.append(position[t])
+        action.append(tuple(row))
+    return reps, action
 
 
 # -- algorithm B: quotient of K_n by non-adjacent commutations ---------------
@@ -395,68 +245,34 @@ def kn_quotient_classes(pres: HkPresentation,
 # -- the public enumeration ---------------------------------------------------
 
 
-_HK_CACHE: dict[tuple, HkClasses] = {}
+MAX_VERTICES = 6
 
 
-def enumerate_hk(dag: Dag | HkPresentation, start_length: int = 4,
-                 max_words: int = 3_000_000, max_vertices: int = 6,
-                 bridge_budget: int = 200_000) -> HkClasses:
-    """Enumerate HK of a DAG; algorithms A and B must agree.
+def enumerate_hk(dag: Dag | HkPresentation, start_length: int = 4, *,
+                 max_vertices: int = MAX_VERTICES,
+                 max_cosets: int = 2_000_000) -> HkClasses:
+    """Enumerate HK of a DAG; Todd-Coxeter and algorithm B must agree.
 
-    Raises ``ResourceGuardError`` when the stabilisation would need more
-    than ``max_words`` ranked words, and ``HkDisagreementError`` when the
-    two enumerations differ.
+    Raises ``ResourceGuardError`` when the graph has more than
+    ``max_vertices`` vertices or the coset table would need more than
+    ``max_cosets`` cosets (the complete graph on six vertices defines
+    629,803), and ``HkDisagreementError`` when the two enumerations differ.
     """
+    # perfbench reads this default through inspect.signature for hecke.words_ranked.
+    if start_length != 4:
+        raise ValueError(f"start_length={start_length} is retired: "
+                         "coset enumeration needs no word-length bound")
     pres = dag if isinstance(dag, HkPresentation) else HkPresentation.from_dag(dag)
     n = pres.graph.n
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n > max_vertices:
-        raise ResourceGuardError(
-            f"{n} vertices exceed the configured maximum {max_vertices}"
-        )
-    cache_key = (n, tuple(pres.graph.sorted_edges()), start_length)
-    cached = _HK_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    check_vertex_count(n, max_vertices)
 
-    fwd = [[False] * (n + 1) for _ in range(n + 1)]
-    adj = [[False] * (n + 1) for _ in range(n + 1)]
-    for i, j in pres.graph.edges:
-        fwd[i][j] = True
-        adj[i][j] = adj[j][i] = True
-    fwd0 = np.array([row[1:] for row in fwd[1:]], dtype=bool)
-    adj0 = np.array([row[1:] for row in adj[1:]], dtype=bool)
-
-    L = max(start_length, 2)
-    prev: _View | None = None
-    view: _View | None = None
-    while True:
-        if _word_count(n, L) > max_words:
-            raise ResourceGuardError(
-                f"stabilisation at bound {L} needs {_word_count(n, L)} words, "
-                f"over the limit {max_words}"
-            )
-        part = _Partition(n, fwd0, adj0, L)
-        view = _action_view(part, fwd, adj, bridge_budget)
-        if prev is not None and view.matches(prev):
-            break
-        prev = view
-        L += 2
-
-    reps = sorted(view.mapping, key=lambda w: (len(w), w))
-    position = {rep: k for k, rep in enumerate(reps)}
-    action = tuple(
-        tuple(position[t] for t in view.mapping[rep]) for rep in reps
-    )
-
+    reps, action = _todd_coxeter(pres.graph, max_cosets)
     size_b, reps_b = kn_quotient_classes(pres)
-    if view.count != size_b or frozenset(reps) != reps_b:
+    if len(reps) != size_b or frozenset(reps) != reps_b:
         raise HkDisagreementError(
-            f"bounded closure found {view.count} classes, the K_n quotient "
+            f"Todd-Coxeter found {len(reps)} classes, the K_n quotient "
             f"found {size_b}; this is an implementation bug"
         )
-
-    classes = HkClasses(pres, tuple(reps), action, view.count, L)
-    _HK_CACHE[cache_key] = classes
-    return classes
+    return HkClasses(pres, tuple(reps), tuple(action), len(reps))

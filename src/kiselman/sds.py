@@ -101,6 +101,14 @@ class Dag:
         return sorted(self.edges)
 
 
+def check_vertex_count(n: int, max_vertices: int) -> None:
+    """Refuse a graph with more than ``max_vertices`` vertices."""
+    if n > max_vertices:
+        raise ResourceGuardError(
+            f"vertex guard: {n} vertices exceed max_vertices={max_vertices}"
+        )
+
+
 def complete_dag(n: int) -> Dag:
     """The complete acyclic orientation: i -> j iff i < j."""
     return Dag(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
@@ -394,12 +402,15 @@ def dag_to_json(dag: Dag) -> dict:
     return {"n": dag.n, "edges": [list(e) for e in dag.sorted_edges()]}
 
 
-def dag_from_json(obj: dict) -> Dag:
+def dag_from_json(obj: dict, max_vertices: int | None = None) -> Dag:
+    """Load a graph; ``max_vertices`` is checked before the graph is built."""
     try:
         n = int(obj["n"])
         edges = [(int(i), int(j)) for i, j in obj.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad graph object: {exc}") from None
+    if max_vertices is not None:
+        check_vertex_count(n, max_vertices)
     return Dag(n, edges)
 
 

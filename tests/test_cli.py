@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from kiselman import cli, sds
 from kiselman.cli import main
 
 
@@ -59,6 +60,20 @@ def test_enum_hk(capsys, tmp_path):
     assert code == 0 and out.strip() == "4"
 
 
+def test_enum_hk_refuses_large_graphs_before_building_them(capsys, monkeypatch, tmp_path):
+    def unbuilt(*args):
+        raise AssertionError("the graph was built before the vertex guard")
+
+    monkeypatch.setattr(cli, "complete_dag", unbuilt)
+    monkeypatch.setattr(sds, "Dag", unbuilt)
+    code, _, err = run_cli(capsys, "enum-hk", "--graph", "complete:1500")
+    assert code == 3 and "max_vertices=6" in err
+    gfile = tmp_path / "big.json"
+    gfile.write_text(json.dumps({"n": 10 ** 9, "edges": []}))
+    code, _, err = run_cli(capsys, "enum-hk", "--graph", str(gfile))
+    assert code == 3 and "max_vertices=6" in err
+
+
 @pytest.fixture
 def system_file(tmp_path):
     blob = {
@@ -91,6 +106,13 @@ def test_dynamics(capsys, system_file):
     code, out, _ = run_cli(capsys, "dynamics", "--system", system_file, "--json")
     blob = json.loads(out)
     assert blob["size"] == 5 and blob["state_count"] == 6
+    code, _, err = run_cli(capsys, "dynamics", "--system", system_file,
+                           "--max-elements", "1")
+    assert code == 3 and "limit 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamics", "--system", system_file, "--max-elements", "0"])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_check_relations(capsys, system_file):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from kiselman.errors import ResourceGuardError
 from kiselman.hecke import (
     HkPresentation,
     enumerate_hk,
-    hk_element_of,
     kn_quotient_classes,
 )
 from kiselman.sds import Dag, complete_dag
@@ -59,7 +59,6 @@ def test_class_of_examples():
     assert hk.class_of(STAR) == 0
     assert hk.class_of((1, 2, 1)) == hk.class_of((1, 2))
     assert hk.class_of((2, 1, 2)) == hk.class_of((1, 2))
-    assert hk_element_of((1,), hk) == hk.class_of((1,))
 
 
 def test_class_of_uses_original_labels():
@@ -99,7 +98,6 @@ def test_dual_agreement_on_all_small_dags():
 
 
 def test_dual_agreement_on_a_five_vertex_sample():
-    """Graphs whose class representatives fit the desk-scale word budget."""
     samples = [
         Dag(5, []),
         Dag(5, [(1, 2), (1, 3), (1, 4), (1, 5)]),
@@ -109,17 +107,48 @@ def test_dual_agreement_on_a_five_vertex_sample():
         Dag(5, [(1, 2), (1, 3)]),
     ]
     for dag in samples:
-        hk = enumerate_hk(dag, start_length=5)
+        hk = enumerate_hk(dag)
         size_b, reps_b = kn_quotient_classes(hk.presentation)
         assert hk.size == size_b
         assert frozenset(hk.representatives) == reps_b
 
 
-def test_long_representatives_hit_the_word_guard():
-    # the five-vertex path has class representatives of length 9; the
-    # bounded closure cannot certify that inside the default word budget
-    with pytest.raises(ResourceGuardError):
-        enumerate_hk(Dag(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), start_length=5)
+def test_five_vertex_path_agrees_between_algorithms():
+    # class representatives run to length 9 here
+    hk = enumerate_hk(Dag(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+    size_b, reps_b = kn_quotient_classes(hk.presentation)
+    assert hk.size == size_b == 132
+    assert frozenset(hk.representatives) == reps_b
+    assert max(len(r) for r in hk.representatives) == 9
+
+
+def test_closed_table_satisfies_every_relation_from_every_class():
+    dags = [
+        Dag(3, [(1, 2), (2, 3)]),
+        Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)]),
+        Dag(4, [(4, 1), (2, 3)]),
+        Dag(5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
+        complete_dag(4),
+    ]
+    for dag in dags:
+        hk = enumerate_hk(dag)
+        graph = hk.presentation.graph
+        relations = [((i, i), (i,)) for i in range(1, dag.n + 1)]
+        for i, j in itertools.combinations(range(1, dag.n + 1), 2):
+            if graph.adjacent(i, j):
+                i, j = (i, j) if graph.has_edge(i, j) else (j, i)
+                relations += [((i, j, i), (i, j)), ((j, i, j), (i, j))]
+            else:
+                relations.append(((i, j), (j, i)))
+
+        def fold(c, word):
+            for g in word:
+                c = hk.action[c][g - 1]
+            return c
+
+        for c in range(hk.size):
+            for u, v in relations:
+                assert fold(c, u) == fold(c, v)
 
 
 def test_representatives_are_least_in_their_class():
@@ -135,8 +164,9 @@ def test_representatives_are_least_in_their_class():
 def test_guards():
     with pytest.raises(ResourceGuardError):
         enumerate_hk(Dag(7, []))
-    with pytest.raises(ResourceGuardError):
-        # start_length picks a fresh cache key, so the budget is enforced
-        enumerate_hk(Dag(4, [(1, 2)]), start_length=6, max_words=50)
+    with pytest.raises(ResourceGuardError, match="max_cosets=50"):
+        enumerate_hk(Dag(4, [(1, 2)]), max_cosets=50)
+    with pytest.raises(ValueError, match="start_length=5 is retired"):
+        enumerate_hk(Dag(4, [(1, 2)]), start_length=5)
     with pytest.raises(ValueError):
         enumerate_hk(Dag(0, []))
