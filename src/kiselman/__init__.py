@@ -11,6 +11,7 @@ from .canonical import (
     canonical_words,
     eligible_steps,
     enumerate_kn,
+    extend_canonical,
     find_step,
     is_canonical,
     is_special,

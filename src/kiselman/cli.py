@@ -244,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-elements", type=_positive_int, default=None,
                         help="element guard for enumerations")
     common.add_argument("--format", choices=("letters", "indices"),
-                        default="letters", help="word rendering")
+                        default=None,
+                        help="word rendering (default: letters, or indices "
+                             "for a word with a letter above z = 26)")
 
     parser = argparse.ArgumentParser(
         prog="kiselman",

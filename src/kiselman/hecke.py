@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .canonical import canonical_form, enumerate_kn
+from .canonical import canonical_form, enumerate_kn, extend_canonical
 from .errors import HkDisagreementError, ResourceGuardError
 from .sds import Dag, check_vertex_count
 from .words import Word
@@ -217,8 +217,8 @@ def kn_quotient_classes(pres: HkPresentation,
         for p in range(len(w) - 1):
             i, j = w[p], w[p + 1]
             if i != j and not graph.adjacent(i, j):
-                swapped = w[:p] + (j, i) + w[p + 2:]
-                pending.append((k, index[canonical_form(swapped)]))
+                swapped = extend_canonical(w[:p], (j, i) + w[p + 2:])
+                pending.append((k, index[swapped]))
     while pending:
         a, b = pending.popleft()
         ra, rb = find(a), find(b)
@@ -231,7 +231,7 @@ def kn_quotient_classes(pres: HkPresentation,
                 (index[canonical_form((g,) + wa)], index[canonical_form((g,) + wb)])
             )
             pending.append(
-                (index[canonical_form(wa + (g,))], index[canonical_form(wb + (g,))])
+                (index[extend_canonical(wa, (g,))], index[extend_canonical(wb, (g,))])
             )
     reps: dict[int, Word] = {}
     for k, w in enumerate(canons):

@@ -138,7 +138,7 @@ class TheoremReport:
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def to_json(self, style: str = "letters") -> dict:
+    def to_json(self, style: str | None = "letters") -> dict:
         return {
             "n": self.n,
             "checked": self.checked,
@@ -204,7 +204,7 @@ class IsoReport:
     def ok(self) -> bool:
         return self.kn_size == self.dynamics_size and not self.counterexamples
 
-    def to_json(self, style: str = "letters") -> dict:
+    def to_json(self, style: str | None = "letters") -> dict:
         return {
             "n": self.n,
             "kn_size": self.kn_size,

@@ -136,10 +136,16 @@ def parse_word(text: str) -> Word:
     return tuple(letters)
 
 
-def format_word(w: Word, style: str = "letters") -> str:
-    """Render a word; ``parse_word(format_word(w)) == w`` for both styles."""
+def format_word(w: Word, style: str | None = "letters") -> str:
+    """Render a word; ``parse_word(format_word(w, style)) == w`` for every style.
+
+    Style ``None`` renders letters when every letter is at most 26 (``z``)
+    and indices otherwise.
+    """
     if not w:
         return "-"
+    if style is None:
+        style = "letters" if max(w) <= 26 else "indices"
     if style == "letters":
         if max(w) > 26:
             raise ValueError("letters style only covers indices 1..26")

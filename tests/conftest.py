@@ -5,7 +5,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from kiselman.canonical import apply_step, eligible_steps
+from kiselman.canonical import apply_step, eligible_steps, find_step
 
 
 def words_over(n, max_size=10):
@@ -48,3 +48,12 @@ def random_order_normal_form(w, rng: random.Random) -> tuple:
         if not sites:
             return w
         w = apply_step(w, rng.choice(sites))
+
+
+def leftmost_normal_form(w) -> tuple:
+    """Apply the leftmost eligible simplifying step until none remains."""
+    while True:
+        site = find_step(w)
+        if site is None:
+            return w
+        w = apply_step(w, site)

@@ -324,3 +324,19 @@ def test_criterion_09_random_relation_check():
         report = check_hk_relations(sys)
         assert report.ok, (dag, seed, report.failures())
     print("criterion 9: relations hold on 100 random systems, 0 failures")
+
+
+def test_criterion_10_kn_census():
+    """|K_n| and the longest canonical word for n = 1..6, by the closure.
+
+    The bound on canonical length is what makes the online reduction in
+    ``canonical_form`` linear in the length of the word.
+    """
+    census = {}
+    for n in range(1, 7):
+        monoid = enumerate_kn(n)
+        assert all(is_canonical(e.canon) for e in monoid)
+        census[n] = (len(monoid), monoid.max_word_length)
+    assert census == {1: (2, 1), 2: (5, 2), 3: (18, 4), 4: (115, 6),
+                      5: (1710, 10), 6: (83973, 14)}
+    print(f"criterion 10: (|K_n|, longest canonical word) for n=1..6: {census}")

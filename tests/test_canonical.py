@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import is_canonical_all_spans, random_order_normal_form, random_word, words_over
+from conftest import (
+    is_canonical_all_spans,
+    leftmost_normal_form,
+    random_order_normal_form,
+    random_word,
+    words_over,
+)
 from kiselman.canonical import (
     StepKind,
     StepSite,
@@ -14,6 +20,7 @@ from kiselman.canonical import (
     canonical_words,
     eligible_steps,
     enumerate_kn,
+    extend_canonical,
     find_step,
     is_canonical,
     is_special,
@@ -105,6 +112,49 @@ def test_confluence_on_random_words():
         n = rng.randint(1, 6)
         w = random_word(rng, n, 12)
         assert random_order_normal_form(w, rng) == canonical_form(w)
+
+
+def _long_word(rng, n, low, high):
+    return tuple(rng.randint(1, n) for _ in range(rng.randint(low, high)))
+
+
+@pytest.mark.parametrize("n", (6, 10, 26))
+def test_online_reduction_agrees_with_both_oracles_on_long_words(n):
+    """Words of 100-400 letters, where the ALL_SMALLER re-feed nests: on these
+    words it runs up to 5 levels deep at n = 6, 9 at n = 10 and 11 at n = 26."""
+    rng = random.Random(1000 + n)
+    for _ in range(8):
+        w = _long_word(rng, n, 100, 400)
+        c = canonical_form(w)
+        assert is_canonical(c)
+        assert c == leftmost_normal_form(w)
+        assert c == random_order_normal_form(w, rng)
+
+
+def test_extend_canonical_cases():
+    assert extend_canonical((2, 1), (3,)) == (2, 1, 3)  # no earlier 3
+    assert extend_canonical((1, 2), (2,)) == (1, 2)  # ADJACENT
+    assert extend_canonical((1, 2, 3), (1,)) == (1, 2, 3)  # ALL_LARGER
+    assert extend_canonical((2, 1, 3), (2,)) == (2, 1, 3, 2)  # special pair
+    # ALL_SMALLER, and re-reading 1 2 3 after (2,) meets ALL_SMALLER again
+    assert is_canonical((2, 3, 1, 2))
+    assert extend_canonical((2, 3, 1, 2), (3,)) == (1, 2, 3)
+    assert leftmost_normal_form((2, 3, 1, 2, 3)) == (1, 2, 3)
+    assert extend_canonical((), iter((1, 2, 1))) == (1, 2)
+
+
+def test_products_agree_with_reducing_the_concatenation():
+    rng = random.Random(41)
+    for n in (6, 10, 26):
+        for _ in range(10):
+            u, v = _long_word(rng, n, 0, 200), _long_word(rng, n, 0, 200)
+            expected = leftmost_normal_form(u + v)
+            assert canonical_form(u + v) == expected
+            assert multiply(u, v) == expected
+    monoid = enumerate_kn(5)
+    for _ in range(2000):
+        a, b = rng.choice(monoid.elements), rng.choice(monoid.elements)
+        assert monoid.multiply(a, b).canon == leftmost_normal_form(a.canon + b.canon)
 
 
 @given(words_over(5, 12))

@@ -21,6 +21,24 @@ def test_canon(capsys):
     assert code == 0 and out.strip() == "abcd"
 
 
+def test_letters_above_z_render_as_indices(capsys):
+    code, out, _ = run_cli(capsys, "canon", "27", "1", "27")
+    assert code == 0 and out.strip() == "1 27"
+    code, out, _ = run_cli(capsys, "mult", "a", "27 1")
+    assert code == 0 and out.strip() == "1 27"
+    code, out, _ = run_cli(capsys, "canon", "27", "1", "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "input": "27 1", "canonical": "27 1"}
+    code, out, _ = run_cli(capsys, "mult", "ba", "27", "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "left": "ba", "right": "27",
+                               "product": "2 1 27"}
+    code, out, _ = run_cli(capsys, "canon", "bab")
+    assert code == 0 and out.strip() == "ab"
+    code, _, err = run_cli(capsys, "canon", "27", "1", "--format", "letters")
+    assert code == 2 and "1..26" in err
+
+
 def test_join(capsys):
     code, out, _ = run_cli(capsys, "join", "cbadc", "abdc")
     assert code == 0 and out.strip() == "cbabdc"
