@@ -38,11 +38,11 @@ linear in the length of the word, with a constant that depends on n alone.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
+from .closure import froidure_pin
 from .errors import ResourceGuardError
 from .words import STAR, Word, delete
 
@@ -232,16 +232,22 @@ def random_fiber_word(w: Word, rng: random.Random, edits: int = 4) -> Word:
 def canonical_words(n: int, max_len: int) -> Iterator[Word]:
     """All canonical words over ``1..n`` of length at most ``max_len``.
 
-    Direct generate-and-filter enumeration, independent of the closure in
+    By length, then lexicographically.  Every prefix of a canonical word is
+    canonical, so each length is generated from the one before: extend
+    every canonical word by every letter and keep what ``is_canonical``
+    accepts.  This filter is independent of the closure in
     ``enumerate_kn``; the two must agree on every finite slice.
     """
     if n < 1:
         raise ValueError("alphabet size must be at least 1")
-    alphabet = range(1, n + 1)
+    level: list[Word] = [STAR]
     for length in range(max_len + 1):
-        for w in itertools.product(alphabet, repeat=length):
-            if is_canonical(w):
-                yield w
+        if not level:
+            return
+        yield from level
+        if length < max_len:
+            level = [w + (g,) for w in level for g in range(1, n + 1)
+                     if is_canonical(w + (g,))]
 
 
 @dataclass(frozen=True)
@@ -285,6 +291,14 @@ def enumerate_kn(n: int, max_alphabet: int = 7,
                  max_elements: int | None = None) -> KnMonoid:
     """Enumerate K_n by closing {STAR} under right products with generators.
 
+    The closure is the Froidure-Pin routine of ``closure``, shared with the
+    dynamics monoid: a canonical word is extended by a letter (one
+    ``extend_canonical`` step) only where a new element can appear, and
+    every other product is read off the Cayley graphs.  A canonical word is
+    the shortlex-least word of its class, so the elements come out in
+    shortlex order of their canonical words, and each element is its own
+    reduced word.
+
     K_n is finite, so the closure terminates; ``max_alphabet`` (default 7)
     and the optional element cap are safety valves for desk-scale use.
     """
@@ -292,23 +306,10 @@ def enumerate_kn(n: int, max_alphabet: int = 7,
         raise ValueError("alphabet size must be at least 1")
     if n > max_alphabet:
         raise ResourceGuardError(
-            f"alphabet size {n} exceeds the configured maximum {max_alphabet}"
+            f"alphabet size {n} exceeds max_alphabet={max_alphabet}"
         )
-    seen = {STAR}
-    order: list[Word] = [STAR]
-    frontier: list[Word] = [STAR]
-    while frontier:
-        fresh: list[Word] = []
-        for w in frontier:
-            for g in range(1, n + 1):
-                c = extend_canonical(w, (g,))
-                if c not in seen:
-                    seen.add(c)
-                    order.append(c)
-                    fresh.append(c)
-                    if max_elements is not None and len(order) > max_elements:
-                        raise ResourceGuardError(
-                            f"K_{n} enumeration exceeded {max_elements} elements"
-                        )
-        frontier = fresh
-    return KnMonoid(n, order)
+    canons = froidure_pin(
+        STAR, [(g,) for g in range(1, n + 1)], extend_canonical, max_elements,
+        f"K_{n} enumeration exceeds max_elements={max_elements}",
+    )[0]  # the links are freed before KnMonoid is built
+    return KnMonoid(n, canons)

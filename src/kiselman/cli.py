@@ -151,6 +151,7 @@ def _cmd_dynamics(args) -> int:
             payload["witnesses"] = [
                 format_word(m.witness, args.format) for m in monoid
             ]
+        payload["stats"] = monoid.stats
         _emit_json(payload)
     else:
         print(monoid.size)

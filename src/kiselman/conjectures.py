@@ -73,44 +73,6 @@ def enumerate_dags(max_vertices: int) -> DagCatalog:
     return DagCatalog(max_vertices, tuple(items))
 
 
-def _is_acyclic(n: int, edges) -> bool:
-    out = {i: [] for i in range(1, n + 1)}
-    indeg = {i: 0 for i in range(1, n + 1)}
-    for i, j in edges:
-        out[i].append(j)
-        indeg[j] += 1
-    ready = [i for i in indeg if indeg[i] == 0]
-    done = 0
-    while ready:
-        i = ready.pop()
-        done += 1
-        for j in out[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return done == n
-
-
-def count_dags_by_edge_subsets(n: int) -> int:
-    """Second, independent count: filter all ordered-pair subsets.
-
-    Exhaustive over 2^(n(n-1)) subsets, so kept to n <= 4; used to
-    cross-validate the catalog construction.
-    """
-    if not 1 <= n <= 4:
-        raise ResourceGuardError("edge-subset filtering is kept to 1..4 vertices")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    seen: set[tuple] = set()
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-        if any((j, i) in edges for i, j in edges):
-            continue
-        if not _is_acyclic(n, edges):
-            continue
-        seen.add(_canonical_key(n, edges))
-    return len(seen)
-
-
 def build_universal_dag(dag: Dag, max_product: int = 10 ** 6) -> UpdateSystem:
     """Join-based word-valued system on an arbitrary DAG.
 

@@ -24,6 +24,15 @@ of map tables.
 Evolution works directly on token tuples, so single trajectories never need
 the global state space.  The dynamics monoid enumerates the state space once
 (mixed-radix indexing, vertex 1 most significant) and interns map tables.
+Local tables are built column by column from per-vertex digit lists, and
+tables are composed by ``operator.itemgetter``, at C speed.
+
+The dynamics monoid is closed by the Froidure-Pin routine of ``closure``,
+the same one that enumerates K_n.  It runs on reversed schedule words: the
+right product of a map by generator ``a`` is F_a applied after it, so a
+witness is the reversed reduced word, and maps come out in breadth-first
+order with shortest witnesses.  A composition is computed only where a new
+map can appear; every other product is read off the Cayley graphs.
 All structures are immutable after construction.
 """
 
@@ -34,7 +43,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterator, Mapping, Sequence
+from operator import add, itemgetter, sub
 
+from .closure import froidure_pin
 from .errors import ResourceGuardError
 from .words import Word
 
@@ -109,6 +120,21 @@ def check_vertex_count(n: int, max_vertices: int) -> None:
         )
 
 
+def check_state_count(count: int, max_states: int) -> None:
+    """Refuse a state space with more than ``max_states`` states."""
+    if count > max_states:
+        raise ResourceGuardError(
+            f"state space of size {count} exceeds max_states={max_states}"
+        )
+
+
+def compose_tables(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The table of ``a`` after ``b``: ``tuple(a[x] for x in b)``."""
+    if len(b) == 1:
+        return (a[b[0]],)  # itemgetter with one index returns a scalar
+    return itemgetter(*b)(a)
+
+
 def complete_dag(n: int) -> Dag:
     """The complete acyclic orientation: i -> j iff i < j."""
     return Dag(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
@@ -124,11 +150,17 @@ class DynamicsMap:
 
 
 class DynamicsMonoid:
-    """Interned dynamics maps; ``maps[0]`` is the identity."""
+    """Interned dynamics maps; ``maps[0]`` is the identity.
 
-    def __init__(self, maps: list[DynamicsMap]):
+    ``stats`` says what the closure did: ``states``, ``maps``,
+    ``compositions`` (tables actually computed) and ``products`` (Cayley
+    edges filled, one per map and generator).
+    """
+
+    def __init__(self, maps: list[DynamicsMap], stats: dict[str, int]):
         self.maps = tuple(maps)
         self.index = {m.table: m.ident for m in maps}
+        self.stats = stats
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -146,9 +178,7 @@ class DynamicsMonoid:
 
     def compose(self, a: DynamicsMap, b: DynamicsMap) -> DynamicsMap:
         """a after b; the monoid is closed, so the result is a member."""
-        at = a.table
-        table = tuple(at[x] for x in b.table)
-        return self.maps[self.index[table]]
+        return self.maps[self.index[compose_tables(a.table, b.table)]]
 
 
 class UpdateSystem:
@@ -236,79 +266,70 @@ class UpdateSystem:
         if i in self._local_tables:
             return self._local_tables[i]
         count = self.state_count()
-        if count > max_states:
-            raise ResourceGuardError(
-                f"state space of size {count} exceeds the limit {max_states}"
-            )
+        check_state_count(count, max_states)
         sizes = [len(s) for s in self.state_sets]
         weights = [1] * len(sizes)
         for v in range(len(sizes) - 2, -1, -1):
             weights[v] = weights[v + 1] * sizes[v + 1]
+
+        def column(p: int, scale: int) -> list[int]:
+            """Digit of vertex p + 1 in every state, times ``scale``."""
+            block = []
+            for d in range(sizes[p]):
+                block += [d * scale] * weights[p]
+            return block * (count // len(block))
+
+        # Number the joint digits of the out-neighbours mixed-radix, in the
+        # order of the rows of f_i, and look up the new digit of i per state.
         out_pos = [j - 1 for j in self._out[i - 1]]
+        key = [0] * count
+        radix = 1
+        for p in reversed(out_pos):
+            key = list(map(add, key, column(p, radix)))
+            radix *= sizes[p]
         fn = self.vertex_functions[i - 1]
         pos_i = self._token_pos[i - 1]
-        table_idx = {}
-        for args in itertools.product(*[range(len(self.state_sets[p])) for p in out_pos]):
-            tokens = tuple(self.state_sets[out_pos[k]][p] for k, p in enumerate(args))
-            table_idx[args] = pos_i[fn[tokens]]
         wi = weights[i - 1]
-        table = [0] * count
-        for idx, digits in enumerate(itertools.product(*[range(k) for k in sizes])):
-            new = table_idx[tuple(digits[p] for p in out_pos)]
-            table[idx] = idx + (new - digits[i - 1]) * wi
-        result = tuple(table)
+        new = [pos_i[fn[tokens]] * wi
+               for tokens in itertools.product(*[self.state_sets[p] for p in out_pos])]
+        moved = map(add, range(count), compose_tables(new, key))
+        result = tuple(map(sub, moved, column(i - 1, wi)))
         self._local_tables[i] = result
         return result
 
     def evolution_table(self, w: Word, max_states: int = 10 ** 6) -> tuple[int, ...]:
         """Table of F_w over state indices (last letter acts first)."""
         count = self.state_count()
-        if count > max_states:
-            raise ResourceGuardError(
-                f"state space of size {count} exceeds the limit {max_states}"
-            )
+        check_state_count(count, max_states)
         table = tuple(range(count))
         for i in w:
-            gen = self.local_table(i, max_states)
-            table = tuple(table[x] for x in gen)
+            table = compose_tables(table, self.local_table(i, max_states))
         return table
 
     def dynamics_monoid(self, max_size: int = 10 ** 6,
                         max_states: int = 10 ** 6) -> DynamicsMonoid:
         """Close the identity under left composition with every local map.
 
-        Each element carries a witnessing schedule word (a shortest one,
-        thanks to breadth-first order).
+        The Froidure-Pin routine of ``closure`` composes a table only where
+        a new map can appear.  Maps come out in breadth-first order, each
+        with a shortest witnessing schedule word, least in shortlex order
+        when read backwards.
         """
         count = self.state_count()
-        if count > max_states:
-            raise ResourceGuardError(
-                f"state space of size {count} exceeds the limit {max_states}"
-            )
+        check_state_count(count, max_states)
         n = self.graph.n
-        gens = {g: self.local_table(g, max_states) for g in range(1, n + 1)}
-        identity = tuple(range(count))
-        maps = [DynamicsMap(identity, 0, ())]
-        index = {identity: 0}
-        frontier = [0]
-        while frontier:
-            fresh = []
-            for mid in frontier:
-                mt = maps[mid].table
-                for g in range(1, n + 1):
-                    gt = gens[g]
-                    table = tuple(gt[x] for x in mt)
-                    if table not in index:
-                        ident = len(maps)
-                        if ident >= max_size:
-                            raise ResourceGuardError(
-                                f"dynamics monoid exceeds the limit {max_size}"
-                            )
-                        index[table] = ident
-                        maps.append(DynamicsMap(table, ident, (g,) + maps[mid].witness))
-                        fresh.append(ident)
-            frontier = fresh
-        return DynamicsMonoid(maps)
+        gens = [self.local_table(g, max_states) for g in range(1, n + 1)]
+        tables, prefix, last, compositions = froidure_pin(
+            tuple(range(count)), gens, lambda m, g: compose_tables(g, m), max_size,
+            f"dynamics monoid exceeds max_size={max_size}",
+        )
+        witnesses = [()]
+        for p, a in zip(prefix[1:], last[1:]):
+            witnesses.append((a + 1,) + witnesses[p])
+        maps = [DynamicsMap(t, k, w) for k, (t, w) in enumerate(zip(tables, witnesses))]
+        stats = {"states": count, "maps": len(maps),
+                 "compositions": compositions, "products": n * len(maps)}
+        return DynamicsMonoid(maps, stats)
 
 
 def reachable_states(sys: UpdateSystem, initial: SystemState) -> set[SystemState]:
@@ -358,21 +379,19 @@ def check_hk_relations(sys: UpdateSystem, max_states: int = 10 ** 6) -> Relation
     n = sys.graph.n
     t = {g: sys.local_table(g, max_states) for g in range(1, n + 1)}
 
-    def after(a, b):
-        return tuple(a[x] for x in b)
-
     checks = []
     for i in range(1, n + 1):
-        checks.append(RelationCheck("idempotent", (i,), after(t[i], t[i]) == t[i]))
+        ok = compose_tables(t[i], t[i]) == t[i]
+        checks.append(RelationCheck("idempotent", (i,), ok))
     for i, j in sys.graph.sorted_edges():
-        ij = after(t[i], t[j])
-        iji = after(ij, t[i])
-        jij = after(t[j], after(t[i], t[j]))
+        ij = compose_tables(t[i], t[j])
+        iji = compose_tables(ij, t[i])
+        jij = compose_tables(t[j], compose_tables(t[i], t[j]))
         checks.append(RelationCheck("edge-triple", (i, j), iji == ij and jij == ij))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if not sys.graph.adjacent(i, j):
-                ok = after(t[i], t[j]) == after(t[j], t[i])
+                ok = compose_tables(t[i], t[j]) == compose_tables(t[j], t[i])
                 checks.append(RelationCheck("commute", (i, j), ok))
     return RelationReport(tuple(checks))
 

@@ -1,7 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -57,3 +57,74 @@ def leftmost_normal_form(w) -> tuple:
         if site is None:
             return w
         w = apply_step(w, site)
+
+
+def reference_closure(identity, generators, multiply):
+    """Breadth-first closure of ``identity`` under right products.
+
+    Returns ``(element, word)`` pairs in discovery order, ``word`` holding
+    1-based generator labels in the order they were applied.  Every
+    element is multiplied by every generator; this is the loop that
+    ``dynamics_monoid`` and ``enumerate_kn`` ran before they shared the
+    Froidure-Pin routine.
+    """
+    found = [(identity, ())]
+    seen = {identity}
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for k in frontier:
+            x, word = found[k]
+            for label, g in enumerate(generators, start=1):
+                y = multiply(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(len(found))
+                    found.append((y, word + (label,)))
+        frontier = fresh
+    return found
+
+
+def reference_dynamics(system):
+    """``(table, witness)`` pairs of the dynamics monoid, breadth first."""
+    gens = [system.local_table(g) for g in range(1, system.graph.n + 1)]
+    identity = tuple(range(system.state_count()))
+    found = reference_closure(identity, gens, lambda m, g: tuple(g[x] for x in m))
+    return [(table, tuple(reversed(word))) for table, word in found]
+
+
+def _is_acyclic(n: int, edges) -> bool:
+    out = {i: [] for i in range(1, n + 1)}
+    indeg = {i: 0 for i in range(1, n + 1)}
+    for i, j in edges:
+        out[i].append(j)
+        indeg[j] += 1
+    ready = [i for i in indeg if indeg[i] == 0]
+    done = 0
+    while ready:
+        i = ready.pop()
+        done += 1
+        for j in out[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+    return done == n
+
+
+def count_dags_by_edge_subsets(n: int) -> int:
+    """Isomorphism classes of DAGs on n vertices, by filtering edge subsets.
+
+    Exhaustive over the 2^(n(n-1)) subsets of ordered pairs, so keep n <= 4;
+    independent of the catalog's construction from topological labellings.
+    """
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    seen: set[tuple] = set()
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+        if any((j, i) in edges for i, j in edges):
+            continue
+        if not _is_acyclic(n, edges):
+            continue
+        seen.add(min(tuple(sorted((p[i - 1], p[j - 1]) for i, j in edges))
+                     for p in permutations(range(1, n + 1))))
+    return len(seen)

@@ -9,6 +9,7 @@ from conftest import (
     leftmost_normal_form,
     random_order_normal_form,
     random_word,
+    reference_closure,
     words_over,
 )
 from kiselman.canonical import (
@@ -242,12 +243,28 @@ def test_enumerate_kn_small():
 
 
 def test_enumerate_kn_guards():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError,
+                       match="alphabet size 8 exceeds max_alphabet=7"):
         enumerate_kn(8)
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError,
+                       match="K_4 enumeration exceeds max_elements=20"):
         enumerate_kn(4, max_elements=20)
+    assert len(enumerate_kn(4, max_elements=115)) == 115
+    with pytest.raises(ResourceGuardError, match="max_elements=114"):
+        enumerate_kn(4, max_elements=114)
     with pytest.raises(ValueError):
         enumerate_kn(0)
+
+
+def test_enumerate_kn_lists_canonical_words_in_shortlex_order():
+    for n in range(1, 6):
+        canons = [e.canon for e in enumerate_kn(n)]
+        assert canons == sorted(canons, key=lambda w: (len(w), w))
+        reference = reference_closure(STAR, [(g,) for g in range(1, n + 1)],
+                                      lambda w, g: canonical_form(w + g))
+        assert canons == [w for w, _ in reference]
+        # breadth first finds the shortlex-least word of each class first
+        assert all(w == word for w, word in reference)
 
 
 def test_enumerate_kn_matches_direct_generation():
@@ -257,6 +274,13 @@ def test_enumerate_kn_matches_direct_generation():
         direct = set(canonical_words(n, margin))
         assert direct == {e.canon for e in monoid}
         assert max(len(w) for w in direct) == monoid.max_word_length
+
+
+@pytest.mark.parametrize("n, max_len", [(1, 4), (3, 8), (4, 7)])
+def test_canonical_words_match_generate_and_filter(n, max_len):
+    everything = (w for length in range(max_len + 1)
+                  for w in itertools.product(range(1, n + 1), repeat=length))
+    assert list(canonical_words(n, max_len)) == [w for w in everything if is_canonical(w)]
 
 
 def test_monoid_is_closed_under_multiplication():

@@ -124,9 +124,15 @@ def test_dynamics(capsys, system_file):
     code, out, _ = run_cli(capsys, "dynamics", "--system", system_file, "--json")
     blob = json.loads(out)
     assert blob["size"] == 5 and blob["state_count"] == 6
+    stats = blob["stats"]
+    assert stats["states"] == 6 and stats["maps"] == 5 and stats["products"] == 10
+    assert 0 < stats["compositions"] < stats["products"]
+    assert not any("second" in key for key in stats)
+    code, again, _ = run_cli(capsys, "dynamics", "--system", system_file, "--json")
+    assert again == out
     code, _, err = run_cli(capsys, "dynamics", "--system", system_file,
                            "--max-elements", "1")
-    assert code == 3 and "limit 1" in err
+    assert code == 3 and "dynamics monoid exceeds max_size=1" in err
     with pytest.raises(SystemExit) as exc:
         main(["dynamics", "--system", system_file, "--max-elements", "0"])
     assert exc.value.code == 2

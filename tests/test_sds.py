@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_word
+from conftest import random_word, reference_dynamics
 from kiselman.canonical import canonical_form, random_fiber_word
+from kiselman.conjectures import build_universal_dag
 from kiselman.errors import ResourceGuardError
 from kiselman.sds import (
     Dag,
@@ -207,10 +208,57 @@ def test_state_indexing_round_trip(arrow_system):
 
 
 def test_dynamics_guards(arrow_system):
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError,
+                       match="state space of size 6 exceeds max_states=3"):
         arrow_system.dynamics_monoid(max_states=3)
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError, match="max_states=5"):
+        arrow_system.evolution_table((1,), max_states=5)
+    with pytest.raises(ResourceGuardError, match="dynamics monoid exceeds max_size=2"):
         arrow_system.dynamics_monoid(max_size=2)
+    assert arrow_system.dynamics_monoid(max_size=5).size == 5
+    with pytest.raises(ResourceGuardError, match="max_size=4"):
+        arrow_system.dynamics_monoid(max_size=4)
+
+
+def _assert_matches_reference(sys):
+    monoid = sys.dynamics_monoid()
+    assert [(m.table, m.witness) for m in monoid] == reference_dynamics(sys)
+    assert [m.ident for m in monoid] == list(range(monoid.size))
+    stats = monoid.stats
+    assert stats["states"] == sys.state_count() and stats["maps"] == monoid.size
+    assert stats["products"] == sys.graph.n * monoid.size
+    assert stats["compositions"] <= stats["products"]
+    return monoid
+
+
+def test_dynamics_monoid_matches_the_reference_closure():
+    rng = random.Random(44)
+    sizes = set()
+    for seed in range(30):
+        dag = _random_dag(rng, 5)
+        sys = random_update_system(dag, rng.randint(1, 4), seed)
+        sizes.add(_assert_matches_reference(sys).size)
+    for dag in (complete_dag(4), Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])):
+        sizes.add(_assert_matches_reference(build_universal_dag(dag)).size)
+    assert 115 in sizes and len(sizes) > 10
+
+
+def test_dynamics_monoid_edge_cases():
+    # vertex 2 has one state, so F_2 is the identity
+    one_state_vertex = UpdateSystem(Dag(2, [(1, 2)]), [[0, 1], ["x"]],
+                                    [{("x",): 1}, {(): "x"}])
+    assert _assert_matches_reference(one_state_vertex).size == 2
+    # F_1 and F_3 coincide (both the identity)
+    coinciding = UpdateSystem(Dag(3, [(2, 1)]), [[0], [0, 1, 2], [0]],
+                              [{(): 0}, {(0,): 2}, {(): 0}])
+    assert _assert_matches_reference(coinciding).size == 2
+    one_state = UpdateSystem(Dag(3, [(1, 2), (2, 3)]), [[0], [0], [0]],
+                             [{(0,): 0}, {(0,): 0}, {(): 0}])
+    assert one_state.local_table(2) == (0,)
+    assert _assert_matches_reference(one_state).size == 1
+    empty = UpdateSystem(Dag(0, []), [], [])
+    monoid = _assert_matches_reference(empty)
+    assert monoid.size == 1 and monoid.identity.table == (0,)
 
 
 def test_reachable_states(arrow_system):
