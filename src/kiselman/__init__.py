@@ -22,7 +22,6 @@ from .conjectures import (
     DagCatalog,
     SweepReport,
     SweepRow,
-    build_universal_dag,
     conjecture_sweep,
     enumerate_dags,
 )
@@ -46,6 +45,7 @@ from .universal import (
     PredictedState,
     UniversalSystem,
     build_universal,
+    build_universal_dag,
     fold_join,
     predicted_state,
     reachability_report,

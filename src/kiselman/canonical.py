@@ -276,9 +276,6 @@ class KnMonoid:
     def identity(self) -> KnElement:
         return self.elements[self.index[STAR]]
 
-    def element_of(self, w: Word) -> KnElement:
-        return self.elements[self.index[canonical_form(w)]]
-
     def multiply(self, a: KnElement, b: KnElement) -> KnElement:
         return self.elements[self.index[extend_canonical(a.canon, b.canon)]]
 

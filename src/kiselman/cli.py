@@ -92,7 +92,7 @@ def _cmd_join(args) -> int:
 
 def _cmd_enum_kn(args) -> int:
     monoid = enumerate_kn(args.n, max_elements=args.max_elements)
-    canons = sorted((e.canon for e in monoid), key=lambda w: (len(w), w))
+    canons = [e.canon for e in monoid]
     if args.json:
         payload = {"n": args.n, "size": len(monoid)}
         if args.list:
@@ -131,6 +131,9 @@ def _cmd_simulate(args) -> int:
             raise ValueError(
                 f"initial state needs {system.graph.n} comma-separated tokens"
             )
+        for v, (tok, states) in enumerate(zip(state, system.state_sets), start=1):
+            if tok not in states:
+                raise ValueError(f"initial token {tok!r} is not a state of vertex {v}")
     else:
         state = system.initial_state()
     final = system.evolve(schedule, state)

@@ -1,13 +1,8 @@
 """Small-DAG sweep: does a join-based update system realise HK everywhere?
 
-On an arbitrary DAG, generalise the universal construction: give vertex i
-word-valued states and the update function
-
-    f_i(out-neighbour states) = a_i . fold of joins over the neighbour
-                                states, largest vertex outermost,
-
-with every state set closed under the tables starting from all-STAR.  On the
-complete acyclic graph this reproduces the universal system verbatim.
+The sweep runs the join-based construction of ``universal`` on every
+isomorphism class of small DAGs; on the complete acyclic graph it is the
+universal system.
 
 The dynamics monoid of any update system on a DAG is a quotient of HK, so
 ``dynamics_size <= hk_size`` always; the sweep records for every isomorphism
@@ -25,15 +20,8 @@ from dataclasses import dataclass, field
 
 from .errors import ResourceGuardError
 from .hecke import enumerate_hk
-from .sds import (
-    Dag,
-    UpdateSystem,
-    check_hk_relations,
-    dag_to_json,
-    random_update_system,
-)
-from .universal import fold_join
-from .words import STAR
+from .sds import Dag, check_hk_relations, dag_to_json, random_update_system
+from .universal import build_universal_dag
 
 
 @dataclass(frozen=True)
@@ -71,41 +59,6 @@ def enumerate_dags(max_vertices: int) -> DagCatalog:
                 seen.add(key)
                 items.append(Dag(n, edges))
     return DagCatalog(max_vertices, tuple(items))
-
-
-def build_universal_dag(dag: Dag, max_product: int = 10 ** 6) -> UpdateSystem:
-    """Join-based word-valued system on an arbitrary DAG.
-
-    State sets are closed from all-STAR in reverse topological order: sinks
-    first, then each vertex collects STAR plus every table output over its
-    neighbours' full state sets.  One pass suffices on a DAG.
-    """
-    n = dag.n
-    pools: dict[int, tuple] = {}
-    tables: dict[int, dict] = {}
-    for v in reversed(dag.topological_order()):
-        nbrs = dag.out_neighbors(v)
-        arg_pools = [pools[j] for j in nbrs]
-        product_size = 1
-        for pool in arg_pools:
-            product_size *= len(pool)
-        if product_size > max_product:
-            raise ResourceGuardError(
-                f"vertex {v} table needs {product_size} rows, over {max_product}"
-            )
-        table = {}
-        words = {STAR}
-        for args in itertools.product(*arg_pools):
-            out = (v,) + fold_join(args)
-            table[args] = out
-            words.add(out)
-        pools[v] = tuple(sorted(words, key=lambda w: (len(w), w)))
-        tables[v] = table
-    return UpdateSystem(
-        dag,
-        [pools[v] for v in range(1, n + 1)],
-        [tables[v] for v in range(1, n + 1)],
-    )
 
 
 def search_larger_quotient(dag: Dag, target: int, trials: int = 25,

@@ -162,9 +162,6 @@ class DynamicsMonoid:
         self.index = {m.table: m.ident for m in maps}
         self.stats = stats
 
-    def __len__(self) -> int:
-        return len(self.maps)
-
     def __iter__(self):
         return iter(self.maps)
 
@@ -263,10 +260,10 @@ class UpdateSystem:
 
     def local_table(self, i: int, max_states: int = 10 ** 6) -> tuple[int, ...]:
         """The local map of vertex ``i`` as a table over state indices."""
-        if i in self._local_tables:
-            return self._local_tables[i]
         count = self.state_count()
         check_state_count(count, max_states)
+        if i in self._local_tables:
+            return self._local_tables[i]
         sizes = [len(s) for s in self.state_sets]
         weights = [1] * len(sizes)
         for v in range(len(sizes) - 2, -1, -1):
@@ -462,7 +459,7 @@ def system_from_json(obj: dict) -> UpdateSystem:
     for entry in raw_functions:
         try:
             v = int(entry["vertex"])
-            rows = entry["table"]
+            rows = list(entry["table"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad function entry: {exc}") from None
         if not 1 <= v <= graph.n:
@@ -471,10 +468,14 @@ def system_from_json(obj: dict) -> UpdateSystem:
             raise ValueError(f"vertex {v} has two function tables")
         table = {}
         for row in rows:
-            args = tuple(str(a) for a in row["args"])
+            try:
+                args = tuple(str(a) for a in row["args"])
+                out = str(row["out"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"bad table row for vertex {v}: {exc}") from None
             if args in table:
                 raise ValueError(f"vertex {v} repeats arguments {args!r}")
-            table[args] = str(row["out"])
+            table[args] = out
         tables[v - 1] = table
     missing = [v + 1 for v, t in enumerate(tables) if t is None]
     if missing:

@@ -1,7 +1,15 @@
-"""The universal update system on the complete acyclic graph.
+"""The join-based update system on a DAG, and the universal system.
 
-On the graph with n vertices and edges i -> j for i < j, give vertex i the
-word-valued state set
+On an arbitrary DAG, give vertex i word-valued states and the update
+function
+
+    f_i(out-neighbour states) = a_i . fold of joins over the neighbour
+                                states, largest vertex outermost,
+
+with every state set closed under the tables starting from all-STAR
+(``build_universal_dag``).  The universal system is the case of the
+complete acyclic graph Gamma_n, with edges i -> j for i < j
+(``build_universal``).  There vertex i gets the word-valued state set
 
     S_n     = {STAR, a_n}
     S_(n-1) = {STAR, a_(n-1), a_(n-1) a_n}
@@ -38,7 +46,7 @@ from .canonical import (
     random_fiber_word,
 )
 from .errors import ResourceGuardError
-from .sds import UpdateSystem, complete_dag, reachable_states
+from .sds import Dag, UpdateSystem, complete_dag, reachable_states
 from .words import STAR, Word, format_word, join, truncate, truncate_set
 
 
@@ -54,11 +62,53 @@ def fold_join(states: Sequence[Word]) -> Word:
     return acc
 
 
+def build_universal_dag(dag: Dag, max_product: int = 10 ** 6) -> UpdateSystem:
+    """Join-based word-valued system on an arbitrary DAG.
+
+    State sets are closed from all-STAR in reverse topological order: sinks
+    first, then each vertex collects STAR plus every table output over its
+    neighbours' full state sets.  One pass suffices on a DAG.  A vertex
+    whose table would need more than ``max_product`` rows is refused before
+    any of its rows is built.
+    """
+    n = dag.n
+    pools: dict[int, tuple] = {}
+    tables: dict[int, dict] = {}
+    for v in reversed(dag.topological_order()):
+        nbrs = dag.out_neighbors(v)
+        arg_pools = [pools[j] for j in nbrs]
+        product_size = 1
+        for pool in arg_pools:
+            product_size *= len(pool)
+        if product_size > max_product:
+            raise ResourceGuardError(
+                f"vertex {v} table needs {product_size} rows, "
+                f"over max_product={max_product}"
+            )
+        table = {}
+        words = {STAR}
+        for args in itertools.product(*arg_pools):
+            out = (v,) + fold_join(args)
+            table[args] = out
+            words.add(out)
+        pools[v] = tuple(sorted(words, key=lambda w: (len(w), w)))
+        tables[v] = table
+    return UpdateSystem(
+        dag,
+        [pools[v] for v in range(1, n + 1)],
+        [tables[v] for v in range(1, n + 1)],
+    )
+
+
 @dataclass(frozen=True)
 class UniversalSystem:
-    n: int
+    """The universal system on the complete acyclic graph with n vertices."""
+
     system: UpdateSystem
-    state_sets: tuple[tuple[Word, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return self.system.graph.n
 
 
 @dataclass(frozen=True)
@@ -72,34 +122,16 @@ def star_state(n: int) -> tuple[Word, ...]:
     return (STAR,) * n
 
 
-def build_universal(n: int, max_alphabet: int = 6) -> UniversalSystem:
-    """Materialise the state sets and tables of the universal system.
+def build_universal(n: int) -> UniversalSystem:
+    """The join-based system on the complete acyclic graph with n vertices.
 
-    The sets are built exactly as defined, top vertex first; whether every
-    listed state is reachable from all-STAR is reported separately by
+    The state sets are built exactly as defined, top vertex first; whether
+    every listed state is reachable from all-STAR is reported separately by
     ``reachability_report`` and asserted nowhere.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n > max_alphabet:
-        raise ResourceGuardError(
-            f"universal system on {n} vertices exceeds the configured maximum {max_alphabet}"
-        )
-    pools: list[tuple[Word, ...] | None] = [None] * n
-    tables: list[dict] = [dict() for _ in range(n)]
-    for v in range(n, 0, -1):
-        arg_pools = [pools[j - 1] for j in range(v + 1, n + 1)]
-        table = {}
-        words = {STAR}
-        for args in itertools.product(*arg_pools):
-            out = (v,) + fold_join(args)
-            table[args] = out
-            words.add(out)
-        pools[v - 1] = tuple(sorted(words, key=lambda w: (len(w), w)))
-        tables[v - 1] = table
-    state_sets = tuple(pools)  # type: ignore[arg-type]
-    system = UpdateSystem(complete_dag(n), state_sets, tables)
-    return UniversalSystem(n, system, state_sets)
+    return UniversalSystem(build_universal_dag(complete_dag(n)))
 
 
 def predicted_state(w: Word, n: int) -> PredictedState:
@@ -269,7 +301,7 @@ def reachability_report(usys: UniversalSystem) -> ReachabilityReport:
             per_vertex[v].add(tok)
     return ReachabilityReport(
         usys.n,
-        tuple(len(s) for s in usys.state_sets),
+        tuple(len(s) for s in usys.system.state_sets),
         tuple(len(s) for s in per_vertex),
         len(reached),
     )

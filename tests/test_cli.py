@@ -120,6 +120,31 @@ def test_simulate(capsys, system_file):
     assert code == 2 and "tokens" in err
 
 
+def test_simulate_refuses_tokens_outside_the_state_sets(capsys, system_file):
+    for initial, v in (("0,zz", 2), ("bogus,0", 1)):
+        code, out, err = run_cli(capsys, "simulate", "--system", system_file,
+                                 "--schedule", "1", "--initial", initial)
+        assert code == 2 and out == ""
+        assert f"is not a state of vertex {v}" in err
+
+
+@pytest.mark.parametrize("row", [{"out": "1"}, ["0", "1"], "0"])
+def test_malformed_table_rows_exit_2(capsys, tmp_path, row):
+    blob = {
+        "graph": {"n": 1, "edges": []},
+        "states": [["0", "1"]],
+        "functions": [{"vertex": 1, "table": [row]}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    for command in ("dynamics", "simulate"):
+        argv = [command, "--system", str(path)]
+        if command == "simulate":
+            argv += ["--schedule", "1"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "bad table row for vertex 1" in err
+
+
 def test_dynamics(capsys, system_file):
     code, out, _ = run_cli(capsys, "dynamics", "--system", system_file, "--json")
     blob = json.loads(out)

@@ -2,16 +2,11 @@ import pytest
 
 from conftest import count_dags_by_edge_subsets
 from kiselman.canonical import enumerate_kn
-from kiselman.conjectures import (
-    build_universal_dag,
-    conjecture_sweep,
-    enumerate_dags,
-    search_larger_quotient,
-)
+from kiselman.conjectures import conjecture_sweep, enumerate_dags, search_larger_quotient
 from kiselman.errors import ResourceGuardError
 from kiselman.hecke import enumerate_hk
 from kiselman.sds import Dag, complete_dag
-from kiselman.universal import build_universal
+from kiselman.universal import build_universal_dag
 
 
 def test_catalog_counts():
@@ -61,35 +56,10 @@ def test_build_universal_dag_small():
     assert build_universal_dag(Dag(1, [])).dynamics_monoid().size == 2
 
 
-def test_build_universal_dag_matches_the_complete_construction():
-    for n in (1, 2, 3, 4):
-        general = build_universal_dag(complete_dag(n))
-        special = build_universal(n)
-        assert general.state_sets == special.system.state_sets
-        assert general.vertex_functions == special.system.vertex_functions
-
-
 def test_build_universal_dag_realises_kn_on_complete_graphs():
     for n in (1, 2, 3):
         sys = build_universal_dag(complete_dag(n))
         assert sys.dynamics_monoid().size == len(enumerate_kn(n))
-
-
-def test_dynamics_agreement_via_word_witnesses():
-    """Same-word evolutions coincide between the two constructions (n <= 4)."""
-    import random
-
-    from conftest import random_word
-
-    rng = random.Random(23)
-    for n in (2, 3, 4):
-        a = build_universal_dag(complete_dag(n))
-        b = build_universal(n).system
-        pairs = [(random_word(rng, n, 8), random_word(rng, n, 8)) for _ in range(40)]
-        for u, v in pairs:
-            assert (a.evolution_table(u) == a.evolution_table(v)) == (
-                b.evolution_table(u) == b.evolution_table(v)
-            )
 
 
 def test_sweep_small_graphs_all_match():

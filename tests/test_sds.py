@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_word, reference_dynamics
 from kiselman.canonical import canonical_form, random_fiber_word
-from kiselman.conjectures import build_universal_dag
 from kiselman.errors import ResourceGuardError
 from kiselman.sds import (
     Dag,
@@ -20,6 +19,7 @@ from kiselman.sds import (
     system_from_json,
     system_to_json,
 )
+from kiselman.universal import build_universal_dag
 
 
 @pytest.fixture
@@ -220,6 +220,20 @@ def test_dynamics_guards(arrow_system):
         arrow_system.dynamics_monoid(max_size=4)
 
 
+def test_state_guard_holds_for_cached_local_tables():
+    """The guard fires before and after the local tables are cached."""
+    sys = build_universal_dag(complete_dag(3))
+    assert sys.state_count() == 36
+    with pytest.raises(ResourceGuardError, match="max_states=1"):
+        check_hk_relations(sys, max_states=1)
+    sys.dynamics_monoid()
+    with pytest.raises(ResourceGuardError, match="max_states=1"):
+        check_hk_relations(sys, max_states=1)
+    with pytest.raises(ResourceGuardError, match="max_states=35"):
+        sys.local_table(1, max_states=35)
+    assert check_hk_relations(sys, max_states=36).ok
+
+
 def _assert_matches_reference(sys):
     monoid = sys.dynamics_monoid()
     assert [(m.table, m.witness) for m in monoid] == reference_dynamics(sys)
@@ -287,4 +301,7 @@ def test_system_json_rejects_bad_tables(arrow_system):
     obj = system_to_json(arrow_system)
     obj["functions"][0]["table"].pop()
     with pytest.raises(ValueError):
+        system_from_json(obj)
+    obj["functions"][0]["table"] = 5
+    with pytest.raises(ValueError, match="bad function entry"):
         system_from_json(obj)

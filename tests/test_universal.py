@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from conftest import random_word, words_over
 from kiselman.canonical import canonical_form, canonical_words, is_canonical
 from kiselman.errors import ResourceGuardError
-from kiselman.sds import reachable_states
+from kiselman.sds import complete_dag, reachable_states
 from kiselman.universal import (
     PredictedState,
     build_universal,
@@ -31,31 +31,59 @@ def test_fold_join_basics():
     assert fold_join([(2, 3), (3,)]) == (2, 3)
 
 
+@pytest.fixture(scope="module")
+def u4():
+    return build_universal(4)
+
+
 def test_build_universal_small_state_sets():
     u1 = build_universal(1)
-    assert u1.state_sets == (((), (1,)),)
+    assert u1.n == 1
+    assert u1.system.state_sets == (((), (1,)),)
     assert u1.system.vertex_functions[0][()] == (1,)
     u2 = build_universal(2)
-    assert u2.state_sets[1] == ((), (2,))
-    assert u2.state_sets[0] == ((), (1,), (1, 2))
+    assert u2.system.state_sets[1] == ((), (2,))
+    assert u2.system.state_sets[0] == ((), (1,), (1, 2))
+
+
+def test_build_universal_state_set_sizes():
+    sizes = {n: tuple(len(s) for s in build_universal(n).system.state_sets)
+             for n in range(1, 7)}
+    assert sizes == {
+        1: (2,),
+        2: (3, 2),
+        3: (6, 3, 2),
+        4: (19, 6, 3, 2),
+        5: (123, 19, 6, 3, 2),
+        6: (2611, 123, 19, 6, 3, 2),
+    }
+
+
+def test_build_universal_tables_fold_their_arguments():
+    for n in (1, 2, 3, 4):
+        usys = build_universal(n)
+        assert usys.system.graph == complete_dag(n)
+        for v, table in enumerate(usys.system.vertex_functions, start=1):
+            for args, out in table.items():
+                assert len(args) == n - v
+                assert out == (v,) + fold_join(args)
 
 
 def test_build_universal_counts_head_one_canonical_words():
     u3 = build_universal(3)
     head_one = [w for w in canonical_words(3, 6) if w and head(w) == 1]
-    assert len(u3.state_sets[0]) == len(head_one) + 1
+    assert len(u3.system.state_sets[0]) == len(head_one) + 1
 
 
-def test_build_universal_tables_close_into_state_sets():
-    usys = build_universal(4)
+def test_build_universal_tables_close_into_state_sets(u4):
     for v in range(1, 5):
-        pool = set(usys.state_sets[v - 1])
-        for out in usys.system.vertex_functions[v - 1].values():
+        pool = set(u4.system.state_sets[v - 1])
+        for out in u4.system.vertex_functions[v - 1].values():
             assert out in pool
 
 
 def test_build_universal_guard():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError, match="max_product=1000000"):
         build_universal(7)
     with pytest.raises(ValueError):
         build_universal(0)
@@ -105,7 +133,7 @@ def test_theorem_verification_reports_counterexamples():
     tables = [dict(t) for t in good.system.vertex_functions]
     tables[0][((2,),)] = (1,)  # break f_1 on one argument
     broken = UniversalSystem(
-        2, UpdateSystem(good.system.graph, good.state_sets, tables), good.state_sets
+        UpdateSystem(good.system.graph, good.system.state_sets, tables)
     )
     report = verify_theorem(2, exhaustive_words(2, 4), system=broken)
     assert not report.ok
@@ -116,9 +144,8 @@ def test_theorem_verification_reports_counterexamples():
 
 @settings(max_examples=80, deadline=None)
 @given(words_over(4, 10))
-def test_fold_up_to_the_head_already_recovers_the_canonical_form(w):
-    usys = _u4()
-    evolved = usys.system.evolve(w, star_state(4))
+def test_fold_up_to_the_head_already_recovers_the_canonical_form(u4, w):
+    evolved = u4.system.evolve(w, star_state(4))
     canw = canonical_form(w)
     if not canw:
         return
@@ -126,21 +153,10 @@ def test_fold_up_to_the_head_already_recovers_the_canonical_form(w):
     assert fold_join(evolved[:j]) == canw
 
 
-_U4 = None
-
-
-def _u4():
-    global _U4
-    if _U4 is None:
-        _U4 = build_universal(4)
-    return _U4
-
-
 @settings(max_examples=80, deadline=None)
 @given(words_over(4, 10))
-def test_partial_folds_are_truncations(w):
-    usys = _u4()
-    evolved = usys.system.evolve(w, star_state(4))
+def test_partial_folds_are_truncations(u4, w):
+    evolved = u4.system.evolve(w, star_state(4))
     canw = canonical_form(w)
     for k in range(1, 5):
         assert fold_join(evolved[:k]) == truncate_set(canw, range(1, k + 1))
