@@ -16,7 +16,6 @@ from .canonical import (
     is_canonical,
     is_special,
     multiply,
-    same_kn_element,
 )
 from .conjectures import (
     DagCatalog,

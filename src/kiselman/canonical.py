@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import random
+from array import array
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
@@ -208,10 +209,6 @@ def multiply(u: Word, v: Word) -> Word:
     return extend_canonical(canonical_form(u), v)
 
 
-def same_kn_element(u: Word, v: Word) -> bool:
-    return canonical_form(u) == canonical_form(v)
-
-
 def random_fiber_word(w: Word, rng: random.Random, edits: int = 4) -> Word:
     """A random word in the class of ``w``.
 
@@ -250,7 +247,7 @@ def canonical_words(n: int, max_len: int) -> Iterator[Word]:
                      if is_canonical(w + (g,))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnElement:
     """An element of K_n: its canonical word plus an interning handle."""
 
@@ -259,12 +256,20 @@ class KnElement:
 
 
 class KnMonoid:
-    """K_n enumerated as interned canonical words, closed under product."""
+    """K_n enumerated as interned canonical words, closed under product.
 
-    def __init__(self, n: int, canons: list[Word]):
+    ``right`` and ``left`` are its Cayley graphs, as flat ``array('i')``
+    indexed ``u * n + a``: ``right[u * n + a]`` is the index of
+    ``elements[u]`` times the generator ``a + 1``, and ``left[u * n + a]``
+    the index of that generator times ``elements[u]``.
+    """
+
+    def __init__(self, n: int, canons: list[Word], right: array, left: array):
         self.n = n
         self.elements = tuple(KnElement(c, k) for k, c in enumerate(canons))
         self.index = {c: k for k, c in enumerate(canons)}
+        self.right = right
+        self.left = left
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -294,7 +299,8 @@ def enumerate_kn(n: int, max_alphabet: int = 7,
     every other product is read off the Cayley graphs.  A canonical word is
     the shortlex-least word of its class, so the elements come out in
     shortlex order of their canonical words, and each element is its own
-    reduced word.
+    reduced word.  The right and left Cayley graphs the closure builds are
+    kept on the returned monoid as ``right`` and ``left``.
 
     K_n is finite, so the closure terminates; ``max_alphabet`` (default 7)
     and the optional element cap are safety valves for desk-scale use.
@@ -305,8 +311,10 @@ def enumerate_kn(n: int, max_alphabet: int = 7,
         raise ResourceGuardError(
             f"alphabet size {n} exceeds max_alphabet={max_alphabet}"
         )
-    canons = froidure_pin(
+    canons, _, _, _, right, left = froidure_pin(
         STAR, [(g,) for g in range(1, n + 1)], extend_canonical, max_elements,
         f"K_{n} enumeration exceeds max_elements={max_elements}",
-    )[0]  # the links are freed before KnMonoid is built
-    return KnMonoid(n, canons)
+    )  # the links are freed before KnMonoid is built
+    right = array("i", right)
+    left = array("i", left)
+    return KnMonoid(n, canons, right, left)

@@ -112,7 +112,8 @@ def _cmd_enum_hk(args) -> int:
     reps = sorted(classes.representatives_original(), key=lambda w: (len(w), w))
     if args.json:
         payload = {**dag_to_json(dag), "size": classes.size,
-                   "representatives": [format_word(r, args.format) for r in reps]}
+                   "representatives": [format_word(r, args.format) for r in reps],
+                   "stats": classes.stats}
         _emit_json(payload)
     elif args.list:
         for r in reps:

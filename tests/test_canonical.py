@@ -27,7 +27,6 @@ from kiselman.canonical import (
     is_special,
     multiply,
     random_fiber_word,
-    same_kn_element,
 )
 from kiselman.errors import ResourceGuardError
 from kiselman.words import STAR, delete, is_quasi_subword, parse_word, truncate
@@ -221,12 +220,6 @@ def test_multiply_examples():
     assert multiply((2, 1), (2,)) == (1, 2)
 
 
-def test_same_kn_element():
-    assert same_kn_element((1, 2, 1), (2, 1, 2))
-    assert not same_kn_element((1, 2), (2, 1))
-    assert same_kn_element((2, 1, 2), (2, 1, 2))
-
-
 @given(words_over(4, 10))
 def test_fiber_edits_stay_in_the_fiber(w):
     rng = random.Random(17)
@@ -265,6 +258,18 @@ def test_enumerate_kn_lists_canonical_words_in_shortlex_order():
         assert canons == [w for w, _ in reference]
         # breadth first finds the shortlex-least word of each class first
         assert all(w == word for w, word in reference)
+
+
+def test_enumerate_kn_keeps_both_cayley_graphs():
+    for n in range(1, 6):
+        monoid = enumerate_kn(n)
+        assert len(monoid.right) == len(monoid.left) == n * len(monoid)
+        for u, e in enumerate(monoid.elements):
+            for g in range(1, n + 1):
+                right = monoid.elements[monoid.right[u * n + g - 1]].canon
+                left = monoid.elements[monoid.left[u * n + g - 1]].canon
+                assert right == extend_canonical(e.canon, (g,))
+                assert left == canonical_form((g,) + e.canon)
 
 
 def test_enumerate_kn_matches_direct_generation():

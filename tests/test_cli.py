@@ -78,6 +78,16 @@ def test_enum_hk(capsys, tmp_path):
     assert code == 0 and out.strip() == "4"
 
 
+def test_enum_hk_json_stats_are_reproducible(capsys):
+    code, first, _ = run_cli(capsys, "enum-hk", "--graph", "complete:4", "--json")
+    _, second, _ = run_cli(capsys, "enum-hk", "--graph", "complete:4", "--json")
+    assert code == 0 and first == second
+    stats = json.loads(first)["stats"]
+    assert stats["classes"] == 115
+    assert set(stats) == {"cosets_defined", "coincidences", "classes",
+                          "b_seeded_pairs", "b_merges"}
+
+
 def test_enum_hk_refuses_large_graphs_before_building_them(capsys, monkeypatch, tmp_path):
     def unbuilt(*args):
         raise AssertionError("the graph was built before the vertex guard")

@@ -31,12 +31,20 @@ def test_froidure_pin_matches_the_reference_on_transformation_monoids():
             gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
         if trial % 4 == 0:
             gens.insert(rng.randrange(len(gens) + 1), identity)
-        elements, prefix, last, compositions = froidure_pin(identity, gens, _then)
+        elements, prefix, last, compositions, right, left = froidure_pin(
+            identity, gens, _then)
         reference = reference_closure(identity, gens, _then)
         assert elements == [x for x, _ in reference]
         assert [_word(prefix, last, u) for u in range(len(reference))] == [
             w for _, w in reference]
         assert compositions <= len(gens) * len(reference)
+        index = {x: u for u, x in enumerate(elements)}
+        n = len(gens)
+        assert len(right) == len(left) == n * len(elements)
+        for u, x in enumerate(elements):
+            for a, g in enumerate(gens):
+                assert right[u * n + a] == index[_then(x, g)]
+                assert left[u * n + a] == index[_then(g, x)]
 
 
 def test_froidure_pin_guard_fires_before_the_element_that_exceeds_it():

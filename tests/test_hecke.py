@@ -1,9 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from conftest import random_word
+from conftest import random_word, reference_kn_quotient
 from kiselman.canonical import canonical_form, enumerate_kn
 from kiselman.errors import ResourceGuardError
 from kiselman.hecke import (
@@ -97,20 +98,53 @@ def test_dual_agreement_on_all_small_dags():
         assert frozenset(hk.representatives) == reps_b
 
 
-def test_dual_agreement_on_a_five_vertex_sample():
-    samples = [
-        Dag(5, []),
-        Dag(5, [(1, 2), (1, 3), (1, 4), (1, 5)]),
-        Dag(5, [(2, 1), (3, 1), (4, 1), (5, 1)]),
-        Dag(5, [(2, 5), (3, 4)]),
-        Dag(5, [(1, 3), (2, 3), (4, 5)]),
-        Dag(5, [(1, 2), (1, 3)]),
-    ]
-    for dag in samples:
+def test_dual_agreement_on_all_five_vertex_dags():
+    from kiselman.conjectures import enumerate_dags
+
+    k5 = enumerate_kn(5)
+    dags = [dag for dag in enumerate_dags(5).items if dag.n == 5]
+    assert len(dags) == 302
+    # enumerate_hk raises unless both algorithms find the same classes;
+    # the total was measured with the swap-seeding algorithm B
+    sizes = [enumerate_hk(dag, kn=k5).size for dag in dags]
+    assert (sum(sizes), min(sizes), max(sizes)) == (100010, 32, 1710)
+
+
+def test_algorithm_b_matches_the_swap_seeding_reference():
+    from kiselman.conjectures import enumerate_dags
+
+    dags = list(enumerate_dags(4).items) + [Dag(5, [(1, 2), (2, 3), (3, 4), (4, 5)])]
+    assert len(dags) == 41
+    for dag in dags:
         hk = enumerate_hk(dag)
         size_b, reps_b = kn_quotient_classes(hk.presentation)
-        assert hk.size == size_b
-        assert frozenset(hk.representatives) == reps_b
+        assert (size_b, reps_b) == reference_kn_quotient(hk.presentation.graph)
+        assert (size_b, reps_b) == (hk.size, frozenset(hk.representatives))
+
+
+def test_a_prebuilt_kn_must_match_the_graph():
+    dag = Dag(3, [(1, 2)])
+    k3 = enumerate_kn(3)
+    hk = enumerate_hk(dag)
+    assert enumerate_hk(dag, kn=k3) == hk
+    assert kn_quotient_classes(hk.presentation, k3) == (
+        hk.size, frozenset(hk.representatives))
+    with pytest.raises(ValueError, match="K_4, but the graph has 3 vertices"):
+        enumerate_hk(dag, kn=enumerate_kn(4))
+    with pytest.raises(ValueError, match="K_2, but the graph has 3 vertices"):
+        kn_quotient_classes(HkPresentation.from_dag(dag), enumerate_kn(2))
+
+
+def test_stats_count_what_both_enumerations_did():
+    hk = enumerate_hk(complete_dag(4))
+    stats = hk.stats
+    assert stats["classes"] == hk.size == 115
+    assert stats["cosets_defined"] - stats["coincidences"] == stats["classes"]
+    assert stats["b_seeded_pairs"] == 0 and stats["b_merges"] == 0
+    stats = enumerate_hk(Dag(3, [(1, 2)])).stats
+    # |K_3| = 18; one edge and an isolated vertex give |K_2| * 2 = 10 classes
+    assert stats["b_seeded_pairs"] == 2 and stats["b_merges"] == 18 - 10
+    assert stats["cosets_defined"] - stats["coincidences"] == stats["classes"] == 10
 
 
 def test_five_vertex_path_agrees_between_algorithms():
@@ -170,3 +204,11 @@ def test_guards():
         enumerate_hk(Dag(4, [(1, 2)]), start_length=5)
     with pytest.raises(ValueError):
         enumerate_hk(Dag(0, []))
+
+
+def test_algorithm_b_runs_under_the_coset_guard():
+    # Todd-Coxeter closes at 128 classes under this cap; K_7 overflows it
+    started = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="max_cosets=1000"):
+        enumerate_hk(Dag(7, []), max_vertices=7, max_cosets=1000)
+    assert time.perf_counter() - started < 1.0
