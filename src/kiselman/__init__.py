@@ -1,7 +1,6 @@
 """Kiselman monoid word combinatorics and update-system dynamics on DAGs."""
 
 from .canonical import (
-    KnElement,
     KnMonoid,
     StepKind,
     StepSite,

@@ -38,9 +38,8 @@ linear in the length of the word, with a constant that depends on n alone.
 from __future__ import annotations
 
 import enum
-import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
 from .closure import froidure_pin
@@ -209,23 +208,6 @@ def multiply(u: Word, v: Word) -> Word:
     return extend_canonical(canonical_form(u), v)
 
 
-def random_fiber_word(w: Word, rng: random.Random, edits: int = 4) -> Word:
-    """A random word in the class of ``w``.
-
-    Mixes forward simplifying steps with letter duplications (the inverse of
-    an ADJACENT step); both preserve the class.
-    """
-    for _ in range(edits):
-        if w and rng.random() < 0.5:
-            p = rng.randrange(len(w))
-            w = w[:p] + (w[p],) + w[p:]
-        else:
-            sites = eligible_steps(w)
-            if sites:
-                w = apply_step(w, rng.choice(sites))
-    return w
-
-
 def canonical_words(n: int, max_len: int) -> Iterator[Word]:
     """All canonical words over ``1..n`` of length at most ``max_len``.
 
@@ -247,49 +229,38 @@ def canonical_words(n: int, max_len: int) -> Iterator[Word]:
                      if is_canonical(w + (g,))]
 
 
-@dataclass(frozen=True, slots=True)
-class KnElement:
-    """An element of K_n: its canonical word plus an interning handle."""
-
-    canon: Word
-    ident: int = field(compare=False)
-
-
 class KnMonoid:
-    """K_n enumerated as interned canonical words, closed under product.
+    """K_n as its canonical words, with both Cayley graphs.
 
-    ``right`` and ``left`` are its Cayley graphs, as flat ``array('i')``
-    indexed ``u * n + a``: ``right[u * n + a]`` is the index of
-    ``elements[u]`` times the generator ``a + 1``, and ``left[u * n + a]``
-    the index of that generator times ``elements[u]``.
+    ``canons`` lists the canonical words in shortlex order, so ``canons[0]``
+    is STAR, the identity; ``index`` maps a canonical word to its position,
+    and iterating the monoid yields the words.  ``right`` and ``left`` are
+    the Cayley graphs, as flat ``array('i')`` indexed ``u * n + a``:
+    ``right[u * n + a]`` is the index of ``canons[u]`` times the generator
+    ``a + 1``, and ``left[u * n + a]`` the index of that generator times
+    ``canons[u]``.  Products are read off these graphs, or computed by
+    ``multiply``.
     """
 
     def __init__(self, n: int, canons: list[Word], right: array, left: array):
         self.n = n
-        self.elements = tuple(KnElement(c, k) for k, c in enumerate(canons))
-        self.index = {c: k for k, c in enumerate(canons)}
+        self.canons = tuple(canons)
+        self.index = {c: k for k, c in enumerate(self.canons)}
         self.right = right
         self.left = left
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.canons)
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    @property
-    def identity(self) -> KnElement:
-        return self.elements[self.index[STAR]]
-
-    def multiply(self, a: KnElement, b: KnElement) -> KnElement:
-        return self.elements[self.index[extend_canonical(a.canon, b.canon)]]
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self.canons)
 
     @property
     def max_word_length(self) -> int:
-        return max(len(e.canon) for e in self.elements)
+        return len(self.canons[-1])  # the listing is shortlex
 
 
-def enumerate_kn(n: int, max_alphabet: int = 7,
+def enumerate_kn(n: int, max_alphabet: int = 6,
                  max_elements: int | None = None) -> KnMonoid:
     """Enumerate K_n by closing {STAR} under right products with generators.
 
@@ -302,8 +273,9 @@ def enumerate_kn(n: int, max_alphabet: int = 7,
     reduced word.  The right and left Cayley graphs the closure builds are
     kept on the returned monoid as ``right`` and ``left``.
 
-    K_n is finite, so the closure terminates; ``max_alphabet`` (default 7)
-    and the optional element cap are safety valves for desk-scale use.
+    K_n is finite, so the closure terminates; ``max_alphabet`` (default 6,
+    as for Hecke-Kiselman enumeration) and the optional element cap are
+    safety valves for desk-scale use.
     """
     if n < 1:
         raise ValueError("alphabet size must be at least 1")

@@ -15,7 +15,7 @@ import sys
 from .canonical import canonical_form, enumerate_kn, multiply
 from .conjectures import conjecture_sweep
 from .errors import HkDisagreementError, ResourceGuardError
-from .hecke import MAX_VERTICES, enumerate_hk
+from .hecke import MAX_COSETS, MAX_VERTICES, enumerate_hk
 from .sds import (
     check_hk_relations,
     check_vertex_count,
@@ -92,14 +92,13 @@ def _cmd_join(args) -> int:
 
 def _cmd_enum_kn(args) -> int:
     monoid = enumerate_kn(args.n, max_elements=args.max_elements)
-    canons = [e.canon for e in monoid]
     if args.json:
         payload = {"n": args.n, "size": len(monoid)}
         if args.list:
-            payload["elements"] = [format_word(c, args.format) for c in canons]
+            payload["elements"] = [format_word(c, args.format) for c in monoid]
         _emit_json(payload)
     elif args.list:
-        for c in canons:
+        for c in monoid:
             print(format_word(c, args.format))
     else:
         print(len(monoid))
@@ -108,7 +107,7 @@ def _cmd_enum_kn(args) -> int:
 
 def _cmd_enum_hk(args) -> int:
     dag = _load_graph(args.graph)
-    classes = enumerate_hk(dag)
+    classes = enumerate_hk(dag, max_cosets=args.max_elements)
     reps = sorted(classes.representatives_original(), key=lambda w: (len(w), w))
     if args.json:
         payload = {**dag_to_json(dag), "size": classes.size,
@@ -147,8 +146,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     system = _load_system(args.system)
-    limit = 10 ** 6 if args.max_elements is None else args.max_elements
-    monoid = system.dynamics_monoid(max_size=limit)
+    monoid = system.dynamics_monoid(max_size=args.max_elements)
     if args.json:
         payload = {"state_count": system.state_count(), "size": monoid.size}
         if args.list:
@@ -201,13 +199,16 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_verify_iso(args) -> int:
-    report = verify_isomorphism(args.n, pair_samples=args.pairs, seed=args.seed)
+    report = verify_isomorphism(args.n, max_size=args.max_elements)
     if args.json:
-        _emit_json({**report.to_json(args.format), "checked": report.checked})
+        _emit_json(report.to_json(args.format))
     else:
         print(f"|K_{args.n}| = {report.kn_size}, |D| = {report.dynamics_size}, "
-              f"pairs checked: {report.checked}, "
+              f"Cayley edges checked: {report.checked}, "
               f"counterexamples: {len(report.counterexamples)}")
+        for ce in report.counterexamples:
+            print(f"  {format_word(ce['word'], args.format)} times "
+                  f"{format_word((ce['letter'],), args.format)}: {ce['kind']}")
     return 0 if report.ok else 1
 
 
@@ -245,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON document on stdout")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--max-elements", type=_positive_int, default=None,
-                        help="element guard for enumerations")
     common.add_argument("--format", choices=("letters", "indices"),
                         default=None,
                         help="word rendering (default: letters, or indices "
@@ -280,12 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate Kiselman's monoid K_n")
     p.add_argument("n", type=int)
     p.add_argument("--list", action="store_true", help="print the elements")
+    p.add_argument("--max-elements", type=_positive_int, default=None,
+                   help="element guard (default: none)")
     p.set_defaults(func=_cmd_enum_kn)
 
     p = sub.add_parser("enum-hk", parents=[common],
                        help="enumerate the Hecke-Kiselman monoid of a DAG")
     p.add_argument("--graph", required=True, metavar="PATH|complete:N")
     p.add_argument("--list", action="store_true", help="print representatives")
+    p.add_argument("--max-elements", type=_positive_int, default=MAX_COSETS,
+                   help="coset guard, max_cosets (default: %(default)s)")
     p.set_defaults(func=_cmd_enum_hk)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -300,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the dynamics monoid of a system")
     p.add_argument("--system", required=True)
     p.add_argument("--list", action="store_true", help="print witness words")
+    p.add_argument("--max-elements", type=_positive_int, default=10 ** 6,
+                   help="map guard, max_size (default: %(default)s)")
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("check-relations", parents=[common],
@@ -316,19 +320,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check random words instead")
     p.add_argument("--max-len", type=int, default=20,
                    help="length bound for random words")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for --random")
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("verify-iso", parents=[common],
-                       help="compare |D| of the universal system with |K_n|")
+                       help="certify that D of the universal system is K_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=200,
-                   help="sampled word pairs for the map-equality check")
+    p.add_argument("--max-elements", type=_positive_int, default=10 ** 6,
+                   help="size guard on both monoids, max_size (default: %(default)s)")
     p.set_defaults(func=_cmd_verify_iso)
 
     p = sub.add_parser("conjecture-sweep", parents=[common],
                        help="compare HK size with join-based dynamics on small DAGs")
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--search-on-mismatch", action="store_true")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed for --search-on-mismatch")
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=_cmd_conjecture_sweep)
 

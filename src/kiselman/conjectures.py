@@ -47,8 +47,12 @@ def enumerate_dags(max_vertices: int) -> DagCatalog:
     i < j), so iterating subsets of the upper-triangular pairs reaches all
     classes; brute-force permutation keying removes duplicates.
     """
-    if not 1 <= max_vertices <= 5:
-        raise ResourceGuardError("the catalog is built for 1..5 vertices")
+    if max_vertices < 1:
+        raise ValueError(f"max_vertices={max_vertices}: the catalog needs at least 1 vertex")
+    if max_vertices > 5:
+        raise ResourceGuardError(
+            f"catalog guard: max_vertices={max_vertices} exceeds the limit of 5 vertices"
+        )
     items: list[Dag] = []
     seen: set[tuple] = set()
     for n in range(1, max_vertices + 1):

@@ -259,7 +259,7 @@ def kn_quotient_classes(pres: HkPresentation, kn: KnMonoid | None = None, *,
         for g in range(n):
             pending.append((right[a + g], right[b + g]))
             pending.append((left[a + g], left[b + g]))
-    reps = frozenset(e.canon for k, e in enumerate(kn.elements) if parent[k] == k)
+    reps = frozenset(c for k, c in enumerate(kn.canons) if parent[k] == k)
     return len(reps), reps
 
 
@@ -267,12 +267,13 @@ def kn_quotient_classes(pres: HkPresentation, kn: KnMonoid | None = None, *,
 
 
 MAX_VERTICES = 6
+MAX_COSETS = 2_000_000
 
 
 def enumerate_hk(dag: Dag | HkPresentation, start_length: int = 4, *,
                  kn: KnMonoid | None = None,
                  max_vertices: int = MAX_VERTICES,
-                 max_cosets: int = 2_000_000) -> HkClasses:
+                 max_cosets: int = MAX_COSETS) -> HkClasses:
     """Enumerate HK of a DAG; Todd-Coxeter and algorithm B must agree.
 
     ``kn`` is a prebuilt K_n for algorithm B, on the graph's vertex count

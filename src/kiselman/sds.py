@@ -32,8 +32,10 @@ the same one that enumerates K_n.  It runs on reversed schedule words: the
 right product of a map by generator ``a`` is F_a applied after it, so a
 witness is the reversed reduced word, and maps come out in breadth-first
 order with shortest witnesses.  A composition is computed only where a new
-map can appear; every other product is read off the Cayley graphs.
-All structures are immutable after construction.
+map can appear; every other product is read off the Cayley graphs.  The
+monoid keeps the maps and one of the two graphs, ``right``, which appends a
+letter to a witness word.  Tables are hashed once, inside the closure.  All
+structures are immutable after construction.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from array import array
 from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from operator import add, itemgetter, sub
@@ -150,16 +153,22 @@ class DynamicsMap:
 
 
 class DynamicsMonoid:
-    """Interned dynamics maps; ``maps[0]`` is the identity.
+    """Interned dynamics maps and their right Cayley graph.
+
+    ``maps[0]`` is the identity.  ``right`` is an ``array('i')`` indexed
+    ``u * n + a``: ``right[u * n + a]`` is the index of ``maps[u]`` after
+    ``F_(a+1)``, the map of the word ``maps[u].witness + (a + 1,)``.  The
+    closure runs on reversed words, so this is the graph it builds by left
+    products.
 
     ``stats`` says what the closure did: ``states``, ``maps``,
     ``compositions`` (tables actually computed) and ``products`` (Cayley
     edges filled, one per map and generator).
     """
 
-    def __init__(self, maps: list[DynamicsMap], stats: dict[str, int]):
+    def __init__(self, maps: list[DynamicsMap], right: array, stats: dict[str, int]):
         self.maps = tuple(maps)
-        self.index = {m.table: m.ident for m in maps}
+        self.right = right
         self.stats = stats
 
     def __iter__(self):
@@ -172,10 +181,6 @@ class DynamicsMonoid:
     @property
     def identity(self) -> DynamicsMap:
         return self.maps[0]
-
-    def compose(self, a: DynamicsMap, b: DynamicsMap) -> DynamicsMap:
-        """a after b; the monoid is closed, so the result is a member."""
-        return self.maps[self.index[compose_tables(a.table, b.table)]]
 
 
 class UpdateSystem:
@@ -310,13 +315,15 @@ class UpdateSystem:
         The Froidure-Pin routine of ``closure`` composes a table only where
         a new map can appear.  Maps come out in breadth-first order, each
         with a shortest witnessing schedule word, least in shortlex order
-        when read backwards.
+        when read backwards.  The monoid keeps the closure's Cayley graph
+        of products ``F_w F_a`` as ``right``, so products of a map with a
+        local map are read off it.
         """
         count = self.state_count()
         check_state_count(count, max_states)
         n = self.graph.n
         gens = [self.local_table(g, max_states) for g in range(1, n + 1)]
-        tables, prefix, last, compositions, _, _ = froidure_pin(
+        tables, prefix, last, compositions, _, right = froidure_pin(
             tuple(range(count)), gens, lambda m, g: compose_tables(g, m), max_size,
             f"dynamics monoid exceeds max_size={max_size}",
         )
@@ -326,7 +333,7 @@ class UpdateSystem:
         maps = [DynamicsMap(t, k, w) for k, (t, w) in enumerate(zip(tables, witnesses))]
         stats = {"states": count, "maps": len(maps),
                  "compositions": compositions, "products": n * len(maps)}
-        return DynamicsMonoid(maps, stats)
+        return DynamicsMonoid(maps, array("i", right), stats)
 
 
 def reachable_states(sys: UpdateSystem, initial: SystemState) -> set[SystemState]:

@@ -104,7 +104,7 @@ def reference_kn_quotient(graph):
     off the Cayley graphs of K_n.
     """
     n = graph.n
-    canons = [e.canon for e in enumerate_kn(n)]
+    canons = list(enumerate_kn(n))
     index = {w: k for k, w in enumerate(canons)}
     parent = list(range(len(canons)))
 

@@ -12,6 +12,7 @@ from conftest import (
     reference_closure,
     words_over,
 )
+from kiselman import canonical
 from kiselman.canonical import (
     StepKind,
     StepSite,
@@ -26,7 +27,6 @@ from kiselman.canonical import (
     is_canonical,
     is_special,
     multiply,
-    random_fiber_word,
 )
 from kiselman.errors import ResourceGuardError
 from kiselman.words import STAR, delete, is_quasi_subword, parse_word, truncate
@@ -151,10 +151,10 @@ def test_products_agree_with_reducing_the_concatenation():
             expected = leftmost_normal_form(u + v)
             assert canonical_form(u + v) == expected
             assert multiply(u, v) == expected
-    monoid = enumerate_kn(5)
+    k5 = enumerate_kn(5).canons
     for _ in range(2000):
-        a, b = rng.choice(monoid.elements), rng.choice(monoid.elements)
-        assert monoid.multiply(a, b).canon == leftmost_normal_form(a.canon + b.canon)
+        a, b = rng.choice(k5), rng.choice(k5)
+        assert multiply(a, b) == leftmost_normal_form(a + b)
 
 
 @given(words_over(5, 12))
@@ -220,24 +220,17 @@ def test_multiply_examples():
     assert multiply((2, 1), (2,)) == (1, 2)
 
 
-@given(words_over(4, 10))
-def test_fiber_edits_stay_in_the_fiber(w):
-    rng = random.Random(17)
-    v = random_fiber_word(w, rng, edits=5)
-    assert canonical_form(v) == canonical_form(w)
-
-
 def test_enumerate_kn_small():
     k1 = enumerate_kn(1)
-    assert {e.canon for e in k1} == {STAR, (1,)}
+    assert set(k1) == {STAR, (1,)}
     k2 = enumerate_kn(2)
-    assert {e.canon for e in k2} == {STAR, (1,), (2,), (1, 2), (2, 1)}
+    assert set(k2) == {STAR, (1,), (2,), (1, 2), (2, 1)}
     assert len(k2) == 5
 
 
-def test_enumerate_kn_guards():
+def test_enumerate_kn_guards(monkeypatch):
     with pytest.raises(ResourceGuardError,
-                       match="alphabet size 8 exceeds max_alphabet=7"):
+                       match="alphabet size 8 exceeds max_alphabet=6"):
         enumerate_kn(8)
     with pytest.raises(ResourceGuardError,
                        match="K_4 enumeration exceeds max_elements=20"):
@@ -248,10 +241,18 @@ def test_enumerate_kn_guards():
     with pytest.raises(ValueError):
         enumerate_kn(0)
 
+    def unclosed(*args):
+        raise AssertionError("the closure started before the alphabet guard")
+
+    monkeypatch.setattr(canonical, "froidure_pin", unclosed)
+    with pytest.raises(ResourceGuardError,
+                       match="alphabet size 7 exceeds max_alphabet=6"):
+        enumerate_kn(7)
+
 
 def test_enumerate_kn_lists_canonical_words_in_shortlex_order():
     for n in range(1, 6):
-        canons = [e.canon for e in enumerate_kn(n)]
+        canons = list(enumerate_kn(n))
         assert canons == sorted(canons, key=lambda w: (len(w), w))
         reference = reference_closure(STAR, [(g,) for g in range(1, n + 1)],
                                       lambda w, g: canonical_form(w + g))
@@ -264,12 +265,12 @@ def test_enumerate_kn_keeps_both_cayley_graphs():
     for n in range(1, 6):
         monoid = enumerate_kn(n)
         assert len(monoid.right) == len(monoid.left) == n * len(monoid)
-        for u, e in enumerate(monoid.elements):
+        for u, c in enumerate(monoid):
             for g in range(1, n + 1):
-                right = monoid.elements[monoid.right[u * n + g - 1]].canon
-                left = monoid.elements[monoid.left[u * n + g - 1]].canon
-                assert right == extend_canonical(e.canon, (g,))
-                assert left == canonical_form((g,) + e.canon)
+                right = monoid.canons[monoid.right[u * n + g - 1]]
+                left = monoid.canons[monoid.left[u * n + g - 1]]
+                assert right == extend_canonical(c, (g,))
+                assert left == canonical_form((g,) + c)
 
 
 def test_enumerate_kn_matches_direct_generation():
@@ -277,7 +278,7 @@ def test_enumerate_kn_matches_direct_generation():
         monoid = enumerate_kn(n)
         margin = monoid.max_word_length + 2
         direct = set(canonical_words(n, margin))
-        assert direct == {e.canon for e in monoid}
+        assert direct == set(monoid)
         assert max(len(w) for w in direct) == monoid.max_word_length
 
 
@@ -292,15 +293,16 @@ def test_monoid_is_closed_under_multiplication():
     monoid = enumerate_kn(3)
     for a in monoid:
         for b in monoid:
-            c = monoid.multiply(a, b)
-            assert c.canon == canonical_form(a.canon + b.canon)
-    idem = monoid.identity
-    assert all(monoid.multiply(idem, e) == e for e in monoid)
+            c = multiply(a, b)
+            assert c in monoid.index
+            assert c == canonical_form(a + b)
+    assert monoid.canons[0] == STAR
+    assert all(multiply(STAR, c) == c == multiply(c, STAR) for c in monoid)
 
 
 def test_canonical_words_contain_generators_and_identity():
     k3 = enumerate_kn(3)
-    canons = {e.canon for e in k3}
+    canons = set(k3)
     assert STAR in canons
     assert all((g,) in canons for g in (1, 2, 3))
 

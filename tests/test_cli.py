@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kiselman import cli, sds
+from kiselman import canonical, cli, sds
 from kiselman.cli import main
 
 
@@ -199,6 +199,43 @@ def test_verify_iso(capsys):
     code, out, _ = run_cli(capsys, "verify-iso", "--n", "2", "--json")
     blob = json.loads(out)
     assert code == 0 and blob["kn_size"] == 5 and blob["dynamics_size"] == 5
+    for n, edges in ((1, 2), (3, 54), (4, 460)):
+        code, out, _ = run_cli(capsys, "verify-iso", "--n", str(n), "--json")
+        blob = json.loads(out)
+        assert code == 0 and blob["checked"] == edges and blob["counterexamples"] == []
+    code, out, _ = run_cli(capsys, "verify-iso", "--n", "3")
+    assert code == 0 and "Cayley edges checked: 54" in out
+
+
+def test_max_elements_reaches_the_guard_of_each_command(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "enum-hk", "--graph", "complete:5",
+                           "--max-elements", "10")
+    assert code == 3 and "max_cosets=10" in err
+    code, _, err = run_cli(capsys, "verify-iso", "--n", "3", "--max-elements", "2")
+    assert code == 3 and "max_size=2" in err
+    code, _, err = run_cli(capsys, "enum-kn", "3", "--max-elements", "17")
+    assert code == 3 and "max_elements=17" in err
+    for argv in (["canon", "a", "--max-elements", "5"],
+                 ["verify-theorem", "--n", "2", "--max-elements", "5"],
+                 ["verify-iso", "--n", "2", "--pairs", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+    def unclosed(*args):
+        raise AssertionError("K_7 closure started before the alphabet guard")
+
+    monkeypatch.setattr(canonical, "froidure_pin", unclosed)
+    code, _, err = run_cli(capsys, "enum-kn", "7")
+    assert code == 3 and "max_alphabet=6" in err
+
+
+def test_conjecture_sweep_vertex_guard(capsys):
+    code, _, err = run_cli(capsys, "conjecture-sweep", "--max-vertices", "0")
+    assert code == 2 and "max_vertices=0" in err
+    code, _, err = run_cli(capsys, "conjecture-sweep", "--max-vertices", "6")
+    assert code == 3 and "max_vertices=6" in err
 
 
 def test_conjecture_sweep(capsys, tmp_path):

@@ -44,8 +44,12 @@ def test_catalog_items_are_pairwise_non_isomorphic():
 
 
 def test_catalog_guard():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError,
+                       match="max_vertices=6 exceeds the limit of 5 vertices"):
         enumerate_dags(6)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"max_vertices={bad}"):
+            enumerate_dags(bad)
 
 
 def test_build_universal_dag_small():

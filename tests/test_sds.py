@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_word, reference_dynamics
-from kiselman.canonical import canonical_form, random_fiber_word
+from conftest import reference_dynamics
+from kiselman.canonical import enumerate_kn
 from kiselman.errors import ResourceGuardError
 from kiselman.sds import (
     Dag,
     UpdateSystem,
     check_hk_relations,
     complete_dag,
+    compose_tables,
     dag_from_json,
     dag_to_json,
     random_update_system,
@@ -68,7 +69,7 @@ def test_arrow_system_dynamics_monoid(arrow_system):
     f_ij = arrow_system.evolution_table((1, 2))
     assert arrow_system.evolution_table((1, 2, 1)) == f_ij
     assert arrow_system.evolution_table((2, 1, 2)) == f_ij
-    assert monoid.index[f_ij] is not None
+    assert f_ij in {m.table for m in monoid}
     assert by_word[()] is monoid.identity
 
 
@@ -139,10 +140,24 @@ def test_monoid_size_is_exploration_order_independent(arrow_system):
 
 def test_monoid_is_closed_under_composition(arrow_system):
     monoid = arrow_system.dynamics_monoid()
+    tables = {m.table for m in monoid}
+    assert len(tables) == monoid.size
     for a in monoid:
         for b in monoid:
-            c = monoid.compose(a, b)
-            assert c.table == tuple(a.table[x] for x in b.table)
+            assert tuple(a.table[x] for x in b.table) in tables
+
+
+def test_right_cayley_graph_appends_a_local_map():
+    rng = random.Random(5)
+    for seed in range(6):
+        sys = random_update_system(_random_dag(rng, 4), 3, seed)
+        monoid = sys.dynamics_monoid()
+        n = sys.graph.n
+        assert len(monoid.right) == n * monoid.size
+        for u, m in enumerate(monoid.maps):
+            for a in range(n):
+                product = monoid.maps[monoid.right[u * n + a]]
+                assert product.table == compose_tables(m.table, sys.local_table(a + 1))
 
 
 def test_witness_words_reproduce_their_maps():
@@ -176,15 +191,21 @@ def test_relations_on_random_systems():
 
 
 def test_words_with_equal_canonical_forms_act_equally():
+    """F_(c a) = F_(Can(c a)) on every edge of K_n, for canonical c.
+
+    Every word reaches its canonical form one appended letter at a time, so
+    this shows F_w = F_(Can w) for all words w.
+    """
     rng = random.Random(31)
     for seed in range(8):
         n = rng.randint(2, 4)
         sys = random_update_system(complete_dag(n), 3, seed)
-        for _ in range(10):
-            u = random_word(rng, n, 8)
-            v = random_fiber_word(u, rng, edits=4)
-            assert canonical_form(u) == canonical_form(v)
-            assert sys.evolution_table(u) == sys.evolution_table(v)
+        kn = enumerate_kn(n)
+        tables = [sys.evolution_table(c) for c in kn]
+        for u in range(len(kn)):
+            for a in range(n):
+                product = compose_tables(tables[u], sys.local_table(a + 1))
+                assert product == tables[kn.right[u * n + a]]
 
 
 def test_random_update_system_contract():

@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from conftest import random_word, words_over
 from kiselman.canonical import canonical_form, canonical_words, is_canonical
 from kiselman.errors import ResourceGuardError
-from kiselman.sds import complete_dag, reachable_states
+from kiselman import universal
+from kiselman.sds import (
+    Dag,
+    UpdateSystem,
+    complete_dag,
+    random_update_system,
+    reachable_states,
+)
 from kiselman.universal import (
     PredictedState,
+    UniversalSystem,
     build_universal,
     exhaustive_words,
     fold_join,
@@ -179,14 +187,51 @@ def test_reachability_report_counts():
 
 
 def test_isomorphism_small():
-    r1 = verify_isomorphism(1, pair_samples=40, seed=3)
-    assert r1.ok and r1.kn_size == 2 and r1.dynamics_size == 2
-    r2 = verify_isomorphism(2, pair_samples=80, seed=3)
-    assert r2.ok and r2.kn_size == 5 and r2.dynamics_size == 5
-    r3 = verify_isomorphism(3, pair_samples=80, seed=3)
-    assert r3.ok and r3.kn_size == 18 and r3.dynamics_size == 18
-    r4 = verify_isomorphism(4, pair_samples=80, seed=3)
-    assert r4.ok and r4.kn_size == 115 and r4.dynamics_size == 115
+    for n, size in ((1, 2), (2, 5), (3, 18), (4, 115)):
+        report = verify_isomorphism(n)
+        assert report.ok and report.counterexamples == []
+        assert report.kn_size == report.dynamics_size == size
+        assert report.checked == n * size  # every right Cayley edge of K_n
+
+
+def _certify(monkeypatch, system):
+    """``verify_isomorphism`` run on ``system`` in place of the universal one."""
+    monkeypatch.setattr(universal, "build_universal", lambda n: UniversalSystem(system))
+    return verify_isomorphism(system.graph.n)
+
+
+class _OneRowAltered(UpdateSystem):
+    """F_1 sends all-STAR to (STAR, b, STAR), so it is no longer idempotent."""
+
+    def local_table(self, i, max_states=10 ** 6):
+        table = super().local_table(i, max_states)
+        if i != 1:
+            return table
+        return (self.state_index((STAR, (2,), STAR)),) + table[1:]
+
+
+def test_isomorphism_certificate_flags_an_altered_system(monkeypatch):
+    base = build_universal(3).system
+    altered = _OneRowAltered(base.graph, base.state_sets, base.vertex_functions)
+    report = _certify(monkeypatch, altered)
+    assert not report.ok
+    assert report.counterexamples[0] == {"word": (1,), "letter": 1, "kind": "cayley-edge"}
+    assert all(ce["kind"] == "cayley-edge" for ce in report.counterexamples)
+    assert report.to_json()["counterexamples"][0] == {
+        "word": "a", "letter": 1, "kind": "cayley-edge"}
+    # the relations of K_3 fail where the edges 3 -> 2, 3 -> 1, 2 -> 1 run backwards
+    reversed_system = random_update_system(Dag(3, [(2, 1), (3, 1), (3, 2)]), 3, 3)
+    assert len(_certify(monkeypatch, reversed_system).counterexamples) == 8
+
+
+def test_isomorphism_certificate_refuses_a_proper_quotient(monkeypatch):
+    """Every system on the complete graph is a quotient of K_n: its edges
+    all agree, and only the size tells it apart."""
+    for seed, size in ((0, 10), (1, 5), (2, 2)):
+        report = _certify(monkeypatch, random_update_system(complete_dag(4), 3, seed))
+        assert report.counterexamples == []
+        assert report.dynamics_size == size and report.kn_size == 115
+        assert not report.ok
 
 
 def test_random_words_is_reproducible():
@@ -200,6 +245,7 @@ def test_report_json_rendering():
     report = verify_theorem(2, exhaustive_words(2, 4))
     blob = report.to_json()
     assert blob["n"] == 2 and blob["checked"] == report.checked
-    iso = verify_isomorphism(2, pair_samples=10, seed=0)
+    iso = verify_isomorphism(2)
     blob = iso.to_json()
     assert blob["kn_size"] == blob["dynamics_size"] == 5
+    assert blob["checked"] == 10 and blob["counterexamples"] == []
