@@ -213,11 +213,7 @@ def _cmd_verify_iso(args) -> int:
 
 
 def _cmd_conjecture_sweep(args) -> int:
-    report = conjecture_sweep(
-        max_vertices=args.max_vertices,
-        search_on_mismatch=args.search_on_mismatch,
-        seed=args.seed,
-    )
+    report = conjecture_sweep(max_vertices=args.max_vertices)
     payload = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -333,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture-sweep", parents=[common],
                        help="compare HK size with join-based dynamics on small DAGs")
     p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--search-on-mismatch", action="store_true")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed for --search-on-mismatch")
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=_cmd_conjecture_sweep)
 

@@ -7,9 +7,13 @@ universal system.
 The dynamics monoid of any update system on a DAG is a quotient of HK, so
 ``dynamics_size <= hk_size`` always; the sweep records for every isomorphism
 class of small DAGs whether this particular construction attains equality.
-Equality everywhere is the expected outcome, not a hard guarantee: whether
-the join-based system is universal beyond the complete graph is exactly the
-open question the sweep probes.
+It does not everywhere.  On the diamond 1->2, 1->3, 2->4, 3->4, with or
+without 1->4, it merges exactly one pair of HK classes, those of abcd and
+cabdc, so |D| = |HK| - 1.  HK is still a dynamics monoid there: the product
+of the join-based system with a seeded random system on the same graph
+realises it, as ``test_diamond_graph_separates_this_construction_from_hk``
+in ``tests/test_conjectures.py`` certifies.  The shortfall belongs to the
+construction, not to the open question it probes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from .canonical import enumerate_kn
 from .errors import ResourceGuardError
 from .hecke import enumerate_hk
-from .sds import Dag, check_hk_relations, dag_to_json, random_update_system
+from .sds import Dag, check_hk_relations, dag_to_json
 from .universal import build_universal_dag
 
 
@@ -66,22 +70,6 @@ def enumerate_dags(max_vertices: int) -> DagCatalog:
     return DagCatalog(max_vertices, tuple(items))
 
 
-def search_larger_quotient(dag: Dag, target: int, trials: int = 25,
-                           max_states: int = 3, seed: int = 0) -> int:
-    """Best dynamics-monoid size over random systems on ``dag``.
-
-    Best-effort probe used when the join-based system falls short of HK:
-    stops early on reaching ``target``.
-    """
-    best = 0
-    for t in range(trials):
-        candidate = random_update_system(dag, max_states, seed + 7919 * t)
-        best = max(best, candidate.dynamics_monoid().size)
-        if best >= target:
-            break
-    return best
-
-
 @dataclass
 class SweepRow:
     dag: Dag
@@ -91,7 +79,6 @@ class SweepRow:
     match: bool | None = None
     seconds: float = 0.0
     skipped: str | None = None
-    search_best: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -102,7 +89,6 @@ class SweepRow:
             "match": self.match,
             "seconds": round(self.seconds, 3),
             "skipped": self.skipped,
-            "search_best": self.search_best,
         }
 
 
@@ -142,15 +128,12 @@ class SweepReport:
         }
 
 
-def conjecture_sweep(max_vertices: int = 4, search_on_mismatch: bool = False,
-                     search_trials: int = 25, search_max_states: int = 3,
-                     seed: int = 0) -> SweepReport:
+def conjecture_sweep(max_vertices: int = 4) -> SweepReport:
     """Compare |HK| with the join-based dynamics on every small DAG.
 
-    Guard overruns become per-row skips, never silent drops.  When a row
-    mismatches and the search is enabled, random update systems on the same
-    graph probe (best effort) for a larger quotient.  K_n, which algorithm B
-    of ``enumerate_hk`` starts from, is built once per vertex count.
+    Guard overruns become per-row skips, never silent drops.  K_n, which
+    algorithm B of ``enumerate_hk`` starts from, is built once per vertex
+    count.
     """
     catalog = enumerate_dags(max_vertices)
     report = SweepReport(max_vertices)
@@ -169,12 +152,6 @@ def conjecture_sweep(max_vertices: int = 4, search_on_mismatch: bool = False,
             row.dynamics_size = monoid.size
             row.quotient_ok = relations.ok
             row.match = monoid.size == hk.size
-            if not row.match and search_on_mismatch:
-                row.search_best = max(
-                    row.dynamics_size,
-                    search_larger_quotient(dag, hk.size, search_trials,
-                                           search_max_states, seed),
-                )
         except ResourceGuardError as exc:
             row.skipped = str(exc)
         row.seconds = time.perf_counter() - started

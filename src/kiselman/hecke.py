@@ -270,7 +270,7 @@ MAX_VERTICES = 6
 MAX_COSETS = 2_000_000
 
 
-def enumerate_hk(dag: Dag | HkPresentation, start_length: int = 4, *,
+def enumerate_hk(dag: Dag, start_length: int = 4, *,
                  kn: KnMonoid | None = None,
                  max_vertices: int = MAX_VERTICES,
                  max_cosets: int = MAX_COSETS) -> HkClasses:
@@ -289,7 +289,7 @@ def enumerate_hk(dag: Dag | HkPresentation, start_length: int = 4, *,
     if start_length != 4:
         raise ValueError(f"start_length={start_length} is retired: "
                          "coset enumeration needs no word-length bound")
-    pres = dag if isinstance(dag, HkPresentation) else HkPresentation.from_dag(dag)
+    pres = HkPresentation.from_dag(dag)
     n = pres.graph.n
     if n < 1:
         raise ValueError("need at least one vertex")

@@ -296,8 +296,11 @@ def test_criterion_08_conjecture_sweep():
 
     The join-based construction matches |HK| on 38 of 40 classes; the two
     diamond-shaped graphs (1->2, 1->3, 2->4, 3->4, optionally plus 1->4)
-    fall short by one element, which random systems recover, so the result
-    reflects this construction rather than the conjecture itself.
+    fall short by one element.  The product of the join-based system with a
+    seeded random system realises HK on both graphs, as certified in
+    ``test_conjectures.py::test_diamond_graph_separates_this_construction_from_hk``,
+    so the result reflects this construction rather than the conjecture
+    itself.
     """
     report = conjecture_sweep(max_vertices=4)
     assert report.skips == 0

@@ -248,6 +248,14 @@ def test_conjecture_sweep(capsys, tmp_path):
     assert saved["schema"] == 1 and saved["matched"] == 3
 
 
+@pytest.mark.parametrize("flag", [["--search-on-mismatch"], ["--seed", "1"]])
+def test_conjecture_sweep_refuses_retired_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture-sweep", "--max-vertices", "1", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "canon", "x!")
     assert code == 2 and "bad letter" in err

@@ -2,10 +2,10 @@ import pytest
 
 from conftest import count_dags_by_edge_subsets
 from kiselman.canonical import enumerate_kn
-from kiselman.conjectures import conjecture_sweep, enumerate_dags, search_larger_quotient
+from kiselman.conjectures import conjecture_sweep, enumerate_dags
 from kiselman.errors import ResourceGuardError
 from kiselman.hecke import enumerate_hk
-from kiselman.sds import Dag, complete_dag
+from kiselman.sds import Dag, complete_dag, random_update_system
 from kiselman.universal import build_universal_dag
 
 
@@ -84,27 +84,43 @@ def test_sweep_is_deterministic():
 
 
 def test_diamond_graph_separates_this_construction_from_hk():
-    """The join-based system identifies two classes that HK keeps apart.
+    """The join-based system merges one pair of HK classes; HK is still realised.
 
-    A random system can tell them apart, so the quotient ordering is strict
-    for this construction on the diamond, while HK itself stays optimal.
+    On the diamond 1->2, 1->3, 2->4, 3->4, with or without 1->4, the join
+    system identifies exactly the classes of abcd and cabdc.  Pair it with a
+    seeded random system on the same graph: the product system, with state
+    sets S_i x T_i and tables acting componentwise, has evolution table
+    F_w = (F_w^join, F_w^random).  Every word acts as its HK representative
+    does, so |D| of the product is the number of distinct pairs over the HK
+    representatives.  That number is |HK|: the product system realises HK on
+    both graphs.  Each seed is the least that works.
     """
-    diamond = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
-    hk = enumerate_hk(diamond)
-    sys = build_universal_dag(diamond)
-    monoid = sys.dynamics_monoid()
-    assert hk.size == 56
-    assert monoid.size == 55
-    u, v = (1, 2, 3, 4), (3, 1, 2, 4, 3)
-    assert hk.class_of(u) != hk.class_of(v)
-    assert sys.evolution_table(u) == sys.evolution_table(v)
-    best = search_larger_quotient(diamond, hk.size, trials=15, seed=0)
-    assert 1 <= best <= hk.size
+    diamond = [(1, 2), (1, 3), (2, 4), (3, 4)]
+    for edges, hk_size, seed in ((diamond, 56, 9), (diamond + [(1, 4)], 72, 6)):
+        dag = Dag(4, edges)
+        hk = enumerate_hk(dag)
+        join_system = build_universal_dag(dag)
+        assert hk.size == hk_size
+        assert join_system.dynamics_monoid().size == hk_size - 1
+        classes = {}
+        for rep in hk.representatives:
+            classes.setdefault(join_system.evolution_table(rep), []).append(rep)
+        merged = [c for c in classes.values() if len(c) > 1]
+        assert merged == [[(1, 2, 3, 4), (3, 1, 2, 4, 3)]]
+        product_sizes = []
+        for s in range(seed + 1):
+            partner = random_update_system(dag, 3, s)
+            product_sizes.append(len({
+                (join_system.evolution_table(rep), partner.evolution_table(rep))
+                for rep in hk.representatives
+            }))
+        assert product_sizes[-1] == hk_size
+        assert max(product_sizes[:-1]) < hk_size
 
 
 def test_sweep_report_json_shape():
     blob = conjecture_sweep(max_vertices=2).to_json()
     assert set(blob) == {"max_vertices", "rows", "matched", "mismatched", "skipped"}
     row = blob["rows"][0]
-    assert {"n", "edges", "hk_size", "dynamics_size", "quotient_ok",
-            "match", "seconds", "skipped", "search_best"} <= set(row)
+    assert set(row) == {"n", "edges", "hk_size", "dynamics_size", "quotient_ok",
+                        "match", "seconds", "skipped"}

@@ -150,6 +150,48 @@ def test_theorem_verification_reports_counterexamples():
         verify_theorem(3, [STAR], system=good)
 
 
+def test_theorem_verdicts_for_wrong_folds(monkeypatch):
+    """A wrong full fold is a ``reconstruction``, a wrong partial one a ``partial-fold``.
+
+    Each word that reaches the fold checks costs n - 1 joins: the full fold
+    of check (b) is the last partial fold of check (c).
+    """
+    usys = build_universal(3)
+    words = list(exhaustive_words(3, 3))
+    bad = (2, 1, 3)
+    real_canonical, real_truncate, real_join = (universal.canonical_form,
+                                                universal.truncate_set,
+                                                universal.join)
+    joins = 0
+
+    def counting_join(u, v):
+        nonlocal joins
+        joins += 1
+        return real_join(u, v)
+
+    monkeypatch.setattr(universal, "join", counting_join)
+    assert verify_theorem(3, words, system=usys).ok
+    assert joins == 2 * len(words)
+
+    monkeypatch.setattr(universal, "canonical_form",
+                        lambda w: real_canonical(w) + (1,) if w == bad else real_canonical(w))
+    report = verify_theorem(3, words, system=usys)
+    assert report.checked == len(words)
+    assert report.counterexamples == [{"word": bad, "kind": "reconstruction"}]
+
+    monkeypatch.setattr(universal, "canonical_form", real_canonical)
+    for k in (1, 2):
+        def wrong_at_k(w, letters, k=k):
+            letters = tuple(letters)
+            out = real_truncate(w, letters)
+            return out + (9,) if letters == tuple(range(1, k + 1)) and w == (1, 2, 3) else out
+
+        monkeypatch.setattr(universal, "truncate_set", wrong_at_k)
+        report = verify_theorem(3, words, system=usys)
+        assert report.counterexamples == [{"word": (1, 2, 3), "kind": "partial-fold", "k": k}]
+    assert report.to_json()["counterexamples"] == [{"word": "abc", "kind": "partial-fold", "k": 2}]
+
+
 @settings(max_examples=80, deadline=None)
 @given(words_over(4, 10))
 def test_fold_up_to_the_head_already_recovers_the_canonical_form(u4, w):
