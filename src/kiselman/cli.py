@@ -238,6 +238,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -310,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-theorem", parents=[common],
                        help="check the universal system against canonical forms")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exhaustive-len", type=int, default=6,
+    p.add_argument("--exhaustive-len", type=_non_negative_int, default=6,
                    help="check all words up to this length")
-    p.add_argument("--random", type=int, default=None, metavar="COUNT",
+    p.add_argument("--random", type=_positive_int, default=None, metavar="COUNT",
                    help="check random words instead")
-    p.add_argument("--max-len", type=int, default=20,
+    p.add_argument("--max-len", type=_non_negative_int, default=20,
                    help="length bound for random words")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for --random")
     p.set_defaults(func=_cmd_verify_theorem)

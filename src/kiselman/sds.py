@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -207,20 +208,27 @@ class UpdateSystem:
         self._local_tables: dict[int, tuple[int, ...]] = {}
 
     def _validate_tables(self):
+        # A table is total when its keys are exactly the out-neighbour
+        # product.  The pools hold no state twice, so the product has
+        # ``rows`` distinct tuples; a table of that length that contains
+        # every one of them has no other key.  The row loop only runs to
+        # name the arguments of an output outside the state set.
         for v in range(1, self.graph.n + 1):
             table = self.vertex_functions[v - 1]
             pools = [self.state_sets[j - 1] for j in self._out[v - 1]]
-            expected = set(itertools.product(*pools))
-            if set(table) != expected:
+            rows = math.prod(map(len, pools))
+            if len(table) != rows or not all(
+                    map(table.__contains__, itertools.product(*pools))):
                 raise ValueError(
                     f"table of vertex {v} is not total over its out-neighbour states"
                 )
             own = set(self.state_sets[v - 1])
-            for args, res in table.items():
-                if res not in own:
-                    raise ValueError(
-                        f"table of vertex {v} maps {args!r} outside its state set"
-                    )
+            if not own.issuperset(table.values()):
+                for args, res in table.items():
+                    if res not in own:
+                        raise ValueError(
+                            f"table of vertex {v} maps {args!r} outside its state set"
+                        )
 
     # -- token-level dynamics ------------------------------------------
 

@@ -2,7 +2,7 @@
 
 import random
 from collections import deque
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
@@ -14,6 +14,9 @@ from kiselman.canonical import (
     extend_canonical,
     find_step,
 )
+from kiselman.sds import UpdateSystem
+from kiselman.universal import fold_join
+from kiselman.words import STAR
 
 
 def words_over(n, max_size=10):
@@ -141,6 +144,28 @@ def reference_kn_quotient(graph):
         if best is None or (len(w), w) < (len(best), best):
             reps[root] = w
     return len(reps), frozenset(reps.values())
+
+
+def reference_build_universal_dag(dag):
+    """The join-based system on ``dag``, one fold per argument tuple.
+
+    Closes the state sets in reverse topological order and folds every row
+    of every table from scratch, with no guard.  This is the loop
+    ``build_universal_dag`` ran before it shared folds across argument
+    prefixes.
+    """
+    pools, tables = {}, {}
+    for v in reversed(dag.topological_order()):
+        table = {}
+        words = {STAR}
+        for args in product(*[pools[j] for j in dag.out_neighbors(v)]):
+            out = (v,) + fold_join(args)
+            table[args] = out
+            words.add(out)
+        pools[v] = tuple(sorted(words, key=lambda w: (len(w), w)))
+        tables[v] = table
+    return UpdateSystem(dag, [pools[v] for v in range(1, dag.n + 1)],
+                        [tables[v] for v in range(1, dag.n + 1)])
 
 
 def reference_dynamics(system):

@@ -195,6 +195,20 @@ def test_verify_theorem_random_is_seed_reproducible(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--exhaustive-len", "-1"], "argument --exhaustive-len: must be at least 0, got -1"),
+    (["--random", "-3"], "argument --random: must be at least 1, got -3"),
+    (["--random", "0"], "argument --random: must be at least 1, got 0"),
+    (["--random", "5", "--max-len", "-1"], "argument --max-len: must be at least 0, got -1"),
+])
+def test_verify_theorem_refuses_empty_checks_at_the_parser(capsys, flags, message):
+    """A count or length that would check no word is a usage error, not a pass."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorem", "--n", "3", *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_iso(capsys):
     code, out, _ = run_cli(capsys, "verify-iso", "--n", "2", "--json")
     blob = json.loads(out)

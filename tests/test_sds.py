@@ -92,13 +92,19 @@ def test_local_maps_are_idempotent(arrow_system):
 
 def test_update_system_validation():
     dag = Dag(2, [(1, 2)])
-    with pytest.raises(ValueError):  # not total
+    not_total = "table of vertex 1 is not total over its out-neighbour states"
+    with pytest.raises(ValueError, match=not_total):  # a row missing
         UpdateSystem(dag, [[0, 1], [0, 1]], [{(0,): 0}, {(): 0}])
-    with pytest.raises(ValueError):  # output outside the state set
+    with pytest.raises(ValueError, match=not_total):  # right length, one foreign key
+        UpdateSystem(dag, [[0, 1], [0, 1]], [{(0,): 0, (2,): 0}, {(): 0}])
+    with pytest.raises(ValueError, match=r"vertex 1 maps \(0,\) outside its state set"):
         UpdateSystem(dag, [[0], [0]], [{(0,): 1}, {(): 0}])
-    with pytest.raises(ValueError):  # duplicate state
+    with pytest.raises(ValueError, match=r"vertex 1 maps \('y',\) outside its state set"):
+        UpdateSystem(dag, [[0, 1], ["x", "y", "z"]],
+                     [{("x",): 0, ("y",): 2, ("z",): 1}, {(): "x"}])
+    with pytest.raises(ValueError, match="vertex 1 lists a state twice"):
         UpdateSystem(dag, [[0, 0], [0]], [{(0,): 0}, {(): 0}])
-    with pytest.raises(ValueError):  # missing table
+    with pytest.raises(ValueError, match="need one state set and one table per vertex"):
         UpdateSystem(dag, [[0], [0]], [{(0,): 0}])
 
 

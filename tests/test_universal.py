@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_word, words_over
+from conftest import reference_build_universal_dag, random_word, words_over
 from kiselman.canonical import canonical_form, canonical_words, is_canonical
+from kiselman.conjectures import enumerate_dags
 from kiselman.errors import ResourceGuardError
 from kiselman import universal
 from kiselman.sds import (
@@ -18,6 +19,7 @@ from kiselman.universal import (
     PredictedState,
     UniversalSystem,
     build_universal,
+    build_universal_dag,
     exhaustive_words,
     fold_join,
     predicted_state,
@@ -67,14 +69,60 @@ def test_build_universal_state_set_sizes():
     }
 
 
-def test_build_universal_tables_fold_their_arguments():
-    for n in (1, 2, 3, 4):
+@pytest.fixture(scope="module")
+def u6():
+    return build_universal(6)
+
+
+def test_build_universal_tables_fold_their_arguments(u6):
+    for n in (1, 2, 3, 4, 5):
         usys = build_universal(n)
         assert usys.system.graph == complete_dag(n)
         for v, table in enumerate(usys.system.vertex_functions, start=1):
             for args, out in table.items():
                 assert len(args) == n - v
                 assert out == (v,) + fold_join(args)
+    # at n = 6, every distinct output and a seeded sample of vertex 1's rows
+    first = u6.system.vertex_functions[0]
+    by_output = {}
+    for args, out in first.items():
+        by_output.setdefault(out, args)
+    assert all(out == (1,) + fold_join(args) for out, args in by_output.items())
+    rows = list(first.items())
+    for args, out in random.Random(6).sample(rows, 2000):
+        assert len(args) == 5 and out == (1,) + fold_join(args)
+
+
+def _assert_same_system(built, reference):
+    """Equal state sets, and equal tables with their rows in the same order."""
+    assert built.graph == reference.graph
+    assert built.state_sets == reference.state_sets
+    for table, ref in zip(built.vertex_functions, reference.vertex_functions):
+        assert list(table.items()) == list(ref.items())
+
+
+def test_build_universal_dag_matches_the_row_by_row_builder():
+    five = [dag for dag in enumerate_dags(5).items if dag.n == 5]
+    dags = [
+        *enumerate_dags(4).items,
+        complete_dag(5),
+        Dag(5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
+        *random.Random(5).sample(five, 30),
+        Dag(4, [(4, 2), (2, 1), (3, 1), (4, 3)]),  # not topologically labelled
+    ]
+    for dag in dags:
+        _assert_same_system(build_universal_dag(dag), reference_build_universal_dag(dag))
+
+
+def test_build_universal_interns_one_output_per_distinct_fold(u6):
+    for n in (3, 5):
+        usys = build_universal(n)
+        for table in usys.system.vertex_functions:
+            assert len({id(o) for o in table.values()}) == len(set(table.values()))
+    for v, table in enumerate(u6.system.vertex_functions, start=1):
+        distinct = len(set(table.values()))
+        assert len({id(o) for o in table.values()}) == distinct
+        assert distinct == len(u6.system.state_sets[v - 1]) - 1  # all but STAR
 
 
 def test_build_universal_counts_head_one_canonical_words():
@@ -95,6 +143,19 @@ def test_build_universal_guard():
         build_universal(7)
     with pytest.raises(ValueError):
         build_universal(0)
+
+
+def test_build_universal_guard_fires_before_any_table_is_built(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a table was built before every guard was checked")
+
+    monkeypatch.setattr(universal, "_vertex_table", no_rows)
+    with pytest.raises(ResourceGuardError) as exc:
+        build_universal(7)
+    assert str(exc.value) == "vertex 1 table needs 219668652 rows, over max_product=1000000"
+    # the guard of every vertex comes first, even of the last one built
+    with pytest.raises(ResourceGuardError, match="vertex 1 table needs 6 rows"):
+        build_universal_dag(complete_dag(3), max_product=5)
 
 
 def test_predicted_state_examples():
