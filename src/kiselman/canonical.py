@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
 from .closure import froidure_pin
-from .errors import ResourceGuardError
+from .errors import check_vertex_count
 from .words import STAR, Word, delete
 
 
@@ -260,8 +260,7 @@ class KnMonoid:
         return len(self.canons[-1])  # the listing is shortlex
 
 
-def enumerate_kn(n: int, max_alphabet: int = 6,
-                 max_elements: int | None = None) -> KnMonoid:
+def enumerate_kn(n: int, max_elements: int | None = None) -> KnMonoid:
     """Enumerate K_n by closing {STAR} under right products with generators.
 
     The closure is the Froidure-Pin routine of ``closure``, shared with the
@@ -273,19 +272,17 @@ def enumerate_kn(n: int, max_alphabet: int = 6,
     reduced word.  The right and left Cayley graphs the closure builds are
     kept on the returned monoid as ``right`` and ``left``.
 
-    K_n is finite, so the closure terminates; ``max_alphabet`` (default 6,
-    as for Hecke-Kiselman enumeration) and the optional element cap are
-    safety valves for desk-scale use.
+    K_n is finite, so the closure terminates.  It is the Hecke-Kiselman
+    monoid of the complete graph on n vertices, so the vertex guard refuses
+    n above ``errors.MAX_VERTICES`` before the closure starts;
+    ``max_elements`` optionally caps the number of elements.
     """
     if n < 1:
         raise ValueError("alphabet size must be at least 1")
-    if n > max_alphabet:
-        raise ResourceGuardError(
-            f"alphabet size {n} exceeds max_alphabet={max_alphabet}"
-        )
+    check_vertex_count(n)
     canons, _, _, _, right, left = froidure_pin(
         STAR, [(g,) for g in range(1, n + 1)], extend_canonical, max_elements,
-        f"K_{n} enumeration exceeds max_elements={max_elements}",
+        f"K_{n} enumeration exceeds max_elements={max_elements} (--max-elements)",
     )  # the links are freed before KnMonoid is built
     right = array("i", right)
     left = array("i", left)

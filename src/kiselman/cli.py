@@ -14,11 +14,11 @@ import sys
 
 from .canonical import canonical_form, enumerate_kn, multiply
 from .conjectures import conjecture_sweep
-from .errors import HkDisagreementError, ResourceGuardError
-from .hecke import MAX_COSETS, MAX_VERTICES, enumerate_hk
+from . import errors
+from .errors import HkDisagreementError, ResourceGuardError, check_vertex_count
+from .hecke import enumerate_hk
 from .sds import (
     check_hk_relations,
-    check_vertex_count,
     complete_dag,
     dag_from_json,
     dag_to_json,
@@ -40,14 +40,14 @@ def _emit_json(payload: dict):
 
 
 def _load_graph(source: str):
-    """Read a graph, refusing more vertices than HK enumeration allows
-    before any edge is built."""
+    """Read a graph, refusing more than MAX_VERTICES vertices before any
+    edge is built."""
     if source.startswith("complete:"):
         n = int(source.split(":", 1)[1])
-        check_vertex_count(n, MAX_VERTICES)
+        check_vertex_count(n)
         return complete_dag(n)
     with open(source, encoding="utf-8") as fh:
-        return dag_from_json(json.load(fh), max_vertices=MAX_VERTICES)
+        return dag_from_json(json.load(fh), max_vertices=errors.MAX_VERTICES)
 
 
 def _load_system(path: str):
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the Hecke-Kiselman monoid of a DAG")
     p.add_argument("--graph", required=True, metavar="PATH|complete:N")
     p.add_argument("--list", action="store_true", help="print representatives")
-    p.add_argument("--max-elements", type=_positive_int, default=MAX_COSETS,
+    p.add_argument("--max-elements", type=_positive_int, default=errors.MAX_COSETS,
                    help="coset guard, max_cosets (default: %(default)s)")
     p.set_defaults(func=_cmd_enum_hk)
 
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the dynamics monoid of a system")
     p.add_argument("--system", required=True)
     p.add_argument("--list", action="store_true", help="print witness words")
-    p.add_argument("--max-elements", type=_positive_int, default=10 ** 6,
+    p.add_argument("--max-elements", type=_positive_int, default=errors.MAX_ELEMENTS,
                    help="map guard, max_size (default: %(default)s)")
     p.set_defaults(func=_cmd_dynamics)
 
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-iso", parents=[common],
                        help="certify that D of the universal system is K_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-elements", type=_positive_int, default=10 ** 6,
+    p.add_argument("--max-elements", type=_positive_int, default=errors.MAX_ELEMENTS,
                    help="size guard on both monoids, max_size (default: %(default)s)")
     p.set_defaults(func=_cmd_verify_iso)
 

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canonical import enumerate_kn
+from . import errors
 from .errors import ResourceGuardError
 from .hecke import enumerate_hk
 from .sds import Dag, check_hk_relations, dag_to_json
@@ -53,9 +54,10 @@ def enumerate_dags(max_vertices: int) -> DagCatalog:
     """
     if max_vertices < 1:
         raise ValueError(f"max_vertices={max_vertices}: the catalog needs at least 1 vertex")
-    if max_vertices > 5:
+    if max_vertices > errors.MAX_CATALOG_VERTICES:
         raise ResourceGuardError(
-            f"catalog guard: max_vertices={max_vertices} exceeds the limit of 5 vertices"
+            f"catalog guard: max_vertices={max_vertices} exceeds "
+            f"MAX_CATALOG_VERTICES={errors.MAX_CATALOG_VERTICES}"
         )
     items: list[Dag] = []
     seen: set[tuple] = set()

@@ -1,4 +1,15 @@
-"""Shared exception types."""
+"""Shared exception types, and the size limits that the guards read.
+
+A limit is read when its guard runs, so a test can lower it with monkeypatch.
+"""
+
+MAX_VERTICES = 6  # the K_n alphabet, HK graphs and command-line graphs
+MAX_STATES = 10 ** 6  # the enumerated state space of an update system
+MAX_PRODUCT = 10 ** 6  # rows of one vertex table in build_universal_dag
+MAX_COSETS = 2_000_000  # default max_cosets of enumerate_hk
+MAX_ELEMENTS = 10 ** 6  # default max_size of dynamics_monoid and verify_isomorphism
+MAX_CATALOG_VERTICES = 5  # the largest graphs in the DAG catalog
+MAX_COUNTEREXAMPLES = 20  # counterexamples that verify_theorem keeps
 
 
 class ResourceGuardError(RuntimeError):
@@ -11,3 +22,19 @@ class HkDisagreementError(RuntimeError):
     This always indicates an implementation bug in one of the two
     algorithms, never a mathematical event; it must not be silenced.
     """
+
+
+def check_vertex_count(n: int, max_vertices: int | None = None) -> None:
+    """Refuse more than ``max_vertices`` vertices, or MAX_VERTICES if None."""
+    name, limit = (("MAX_VERTICES", MAX_VERTICES) if max_vertices is None
+                   else ("max_vertices", max_vertices))
+    if n > limit:
+        raise ResourceGuardError(f"vertex guard: {n} vertices exceed {name}={limit}")
+
+
+def check_state_count(count: int) -> None:
+    """Refuse a state space with more than MAX_STATES states."""
+    if count > MAX_STATES:
+        raise ResourceGuardError(
+            f"state space of size {count} exceeds MAX_STATES={MAX_STATES}"
+        )

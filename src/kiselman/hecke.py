@@ -49,8 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .canonical import KnMonoid, enumerate_kn
-from .errors import HkDisagreementError, ResourceGuardError
-from .sds import Dag, check_vertex_count
+from . import errors
+from .errors import HkDisagreementError, ResourceGuardError, check_vertex_count
+from .sds import Dag
 from .words import Word
 
 
@@ -161,7 +162,8 @@ def _todd_coxeter(graph: Dag, max_cosets: int
                 if c >= max_cosets:
                     raise ResourceGuardError(
                         f"Todd-Coxeter coset guard: {c} cosets defined reach "
-                        f"the limit; raise max_cosets={max_cosets} to go further"
+                        f"the limit; raise max_cosets={max_cosets} (--max-elements) "
+                        "to go further"
                     )
                 table.append([-1] * n)
                 parent.append(c)
@@ -224,17 +226,17 @@ def _non_adjacent_pairs(graph: Dag) -> list[tuple[int, int]]:
             if not graph.adjacent(i, j)]
 
 
-def kn_quotient_classes(pres: HkPresentation, kn: KnMonoid | None = None, *,
-                        max_alphabet: int = 6) -> tuple[int, frozenset]:
+def kn_quotient_classes(pres: HkPresentation,
+                        kn: KnMonoid | None = None) -> tuple[int, frozenset]:
     """Class count and representative set of HK as a quotient of K_n.
 
     ``kn`` is a prebuilt K_n on the graph's vertex count, so that callers
     looping over many graphs build it once; without it, K_n is enumerated
-    here under ``max_alphabet``.
+    here, under the vertex guard of ``enumerate_kn``.
     """
     n = pres.graph.n
     if kn is None:
-        kn = enumerate_kn(n, max_alphabet=max_alphabet)
+        kn = enumerate_kn(n)
     elif kn.n != n:
         raise ValueError(f"kn is K_{kn.n}, but the graph has {n} vertices")
     right, left, index = kn.right, kn.left, kn.index
@@ -266,23 +268,19 @@ def kn_quotient_classes(pres: HkPresentation, kn: KnMonoid | None = None, *,
 # -- the public enumeration ---------------------------------------------------
 
 
-MAX_VERTICES = 6
-MAX_COSETS = 2_000_000
-
-
 def enumerate_hk(dag: Dag, start_length: int = 4, *,
                  kn: KnMonoid | None = None,
-                 max_vertices: int = MAX_VERTICES,
-                 max_cosets: int = MAX_COSETS) -> HkClasses:
+                 max_cosets: int | None = None) -> HkClasses:
     """Enumerate HK of a DAG; Todd-Coxeter and algorithm B must agree.
 
     ``kn`` is a prebuilt K_n for algorithm B, on the graph's vertex count
     (``ValueError`` otherwise); without it, K_n is enumerated here.
 
     Raises ``ResourceGuardError`` when the graph has more than
-    ``max_vertices`` vertices, or when the coset table or B's K_n would
-    need more than ``max_cosets`` cosets or elements (the complete graph on
-    six vertices defines 629,803 cosets, and |K_6| = 83,973), and
+    ``errors.MAX_VERTICES`` vertices, or when the coset table or B's K_n
+    would need more than ``max_cosets`` cosets or elements (by default
+    ``errors.MAX_COSETS``; the complete graph on six vertices defines
+    629,803 cosets, and |K_6| = 83,973), and
     ``HkDisagreementError`` when the two enumerations differ.
     """
     # perfbench reads this default through inspect.signature for hecke.words_ranked.
@@ -293,16 +291,17 @@ def enumerate_hk(dag: Dag, start_length: int = 4, *,
     n = pres.graph.n
     if n < 1:
         raise ValueError("need at least one vertex")
-    check_vertex_count(n, max_vertices)
+    check_vertex_count(n)
+    max_cosets = errors.MAX_COSETS if max_cosets is None else max_cosets
 
     reps, action, cosets, coincidences = _todd_coxeter(pres.graph, max_cosets)
     if kn is None:
         try:
-            kn = enumerate_kn(n, max_alphabet=max_vertices, max_elements=max_cosets)
+            kn = enumerate_kn(n, max_elements=max_cosets)
         except ResourceGuardError:
             raise ResourceGuardError(
                 f"K_{n} for algorithm B has more than {max_cosets} elements; "
-                f"raise max_cosets={max_cosets} to go further"
+                f"raise max_cosets={max_cosets} (--max-elements) to go further"
             ) from None
     size_b, reps_b = kn_quotient_classes(pres, kn)
     if len(reps) != size_b or frozenset(reps) != reps_b:

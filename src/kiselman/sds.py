@@ -50,7 +50,8 @@ from collections.abc import Hashable, Iterator, Mapping, Sequence
 from operator import add, itemgetter, sub
 
 from .closure import froidure_pin
-from .errors import ResourceGuardError
+from . import errors
+from .errors import check_state_count, check_vertex_count
 from .words import Word
 
 Token = Hashable
@@ -114,22 +115,6 @@ class Dag:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-
-def check_vertex_count(n: int, max_vertices: int) -> None:
-    """Refuse a graph with more than ``max_vertices`` vertices."""
-    if n > max_vertices:
-        raise ResourceGuardError(
-            f"vertex guard: {n} vertices exceed max_vertices={max_vertices}"
-        )
-
-
-def check_state_count(count: int, max_states: int) -> None:
-    """Refuse a state space with more than ``max_states`` states."""
-    if count > max_states:
-        raise ResourceGuardError(
-            f"state space of size {count} exceeds max_states={max_states}"
-        )
 
 
 def compose_tables(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -250,10 +235,7 @@ class UpdateSystem:
     # -- enumerated state space ----------------------------------------
 
     def state_count(self) -> int:
-        count = 1
-        for states in self.state_sets:
-            count *= len(states)
-        return count
+        return math.prod(map(len, self.state_sets))
 
     def states(self) -> Iterator[SystemState]:
         return itertools.product(*self.state_sets)
@@ -265,16 +247,20 @@ class UpdateSystem:
         return idx
 
     def state_at(self, idx: int) -> SystemState:
+        if not 0 <= idx < self.state_count():
+            raise ValueError(f"state index {idx} out of range")
         out = []
         for states in reversed(self.state_sets):
             idx, p = divmod(idx, len(states))
             out.append(states[p])
         return tuple(reversed(out))
 
-    def local_table(self, i: int, max_states: int = 10 ** 6) -> tuple[int, ...]:
+    def local_table(self, i: int) -> tuple[int, ...]:
         """The local map of vertex ``i`` as a table over state indices."""
+        if not 1 <= i <= self.graph.n:
+            raise ValueError(f"vertex {i} out of range")
         count = self.state_count()
-        check_state_count(count, max_states)
+        check_state_count(count)
         if i in self._local_tables:
             return self._local_tables[i]
         sizes = [len(s) for s in self.state_sets]
@@ -307,17 +293,16 @@ class UpdateSystem:
         self._local_tables[i] = result
         return result
 
-    def evolution_table(self, w: Word, max_states: int = 10 ** 6) -> tuple[int, ...]:
+    def evolution_table(self, w: Word) -> tuple[int, ...]:
         """Table of F_w over state indices (last letter acts first)."""
         count = self.state_count()
-        check_state_count(count, max_states)
+        check_state_count(count)
         table = tuple(range(count))
         for i in w:
-            table = compose_tables(table, self.local_table(i, max_states))
+            table = compose_tables(table, self.local_table(i))
         return table
 
-    def dynamics_monoid(self, max_size: int = 10 ** 6,
-                        max_states: int = 10 ** 6) -> DynamicsMonoid:
+    def dynamics_monoid(self, max_size: int | None = None) -> DynamicsMonoid:
         """Close the identity under left composition with every local map.
 
         The Froidure-Pin routine of ``closure`` composes a table only where
@@ -325,15 +310,16 @@ class UpdateSystem:
         with a shortest witnessing schedule word, least in shortlex order
         when read backwards.  The monoid keeps the closure's Cayley graph
         of products ``F_w F_a`` as ``right``, so products of a map with a
-        local map are read off it.
+        local map are read off it.  ``max_size`` caps the number of maps,
+        ``errors.MAX_ELEMENTS`` if None; the state guard runs in ``local_table``.
         """
-        count = self.state_count()
-        check_state_count(count, max_states)
+        max_size = errors.MAX_ELEMENTS if max_size is None else max_size
         n = self.graph.n
-        gens = [self.local_table(g, max_states) for g in range(1, n + 1)]
+        gens = [self.local_table(g) for g in range(1, n + 1)]
+        count = self.state_count()
         tables, prefix, last, compositions, _, right = froidure_pin(
             tuple(range(count)), gens, lambda m, g: compose_tables(g, m), max_size,
-            f"dynamics monoid exceeds max_size={max_size}",
+            f"dynamics monoid exceeds max_size={max_size} (--max-elements)",
         )
         witnesses = [()]
         for p, a in zip(prefix[1:], last[1:]):
@@ -382,14 +368,14 @@ class RelationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def check_hk_relations(sys: UpdateSystem, max_states: int = 10 ** 6) -> RelationReport:
+def check_hk_relations(sys: UpdateSystem) -> RelationReport:
     """Verify idempotence, the edge triple, and non-adjacent commutation.
 
     A failing entry signals an implementation bug: the relations hold for
     every update system on an acyclic graph.
     """
     n = sys.graph.n
-    t = {g: sys.local_table(g, max_states) for g in range(1, n + 1)}
+    t = {g: sys.local_table(g) for g in range(1, n + 1)}
 
     checks = []
     for i in range(1, n + 1):
@@ -408,12 +394,12 @@ def check_hk_relations(sys: UpdateSystem, max_states: int = 10 ** 6) -> Relation
     return RelationReport(tuple(checks))
 
 
-def random_update_system(dag: Dag, max_states: int, seed: int) -> UpdateSystem:
-    """Reproducible random system: state-set sizes in 1..max_states, uniform tables."""
-    if max_states < 1:
-        raise ValueError("max_states must be at least 1")
+def random_update_system(dag: Dag, max_set_size: int, seed: int) -> UpdateSystem:
+    """Reproducible random system: state-set sizes in 1..max_set_size, uniform tables."""
+    if max_set_size < 1:
+        raise ValueError("max_set_size must be at least 1")
     rng = random.Random(seed)
-    sizes = [rng.randint(1, max_states) for _ in range(dag.n)]
+    sizes = [rng.randint(1, max_set_size) for _ in range(dag.n)]
     state_sets = [list(range(k)) for k in sizes]
     tables = []
     for v in range(1, dag.n + 1):

@@ -48,10 +48,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Iterator, Sequence
 
 from .canonical import canonical_form, canonical_form_restricted, enumerate_kn
+from . import errors
 from .errors import ResourceGuardError
 from .sds import Dag, UpdateSystem, complete_dag, reachable_states
 from .words import STAR, Word, format_word, join, truncate, truncate_set
@@ -101,7 +102,7 @@ def _vertex_table(arg_pools: Sequence[tuple], memos: list[dict],
     return dict(zip(itertools.product(*arg_pools), map(outputs.__getitem__, folds)))
 
 
-def build_universal_dag(dag: Dag, max_product: int = 10 ** 6) -> UpdateSystem:
+def build_universal_dag(dag: Dag) -> UpdateSystem:
     """Join-based word-valued system on an arbitrary DAG.
 
     Phase 1 closes the state sets from all-STAR in reverse topological
@@ -109,9 +110,9 @@ def build_universal_dag(dag: Dag, max_product: int = 10 ** 6) -> UpdateSystem:
     every distinct fold over its neighbours' full state sets.  One pass
     suffices on a DAG.  The folds are shared across argument prefixes (see
     ``_prefix_folds``), so no row is built, and a vertex whose table would
-    need more than ``max_product`` rows is refused before any table of any
-    vertex exists.  Phase 2 expands every table from the memos of phase 1,
-    with one interned output tuple per distinct fold.
+    need more than ``errors.MAX_PRODUCT`` rows is refused before any table
+    of any vertex exists.  Phase 2 expands every table from the memos of
+    phase 1, with one interned output tuple per distinct fold.
     """
     n = dag.n
     pools: dict[int, tuple] = {}
@@ -119,10 +120,10 @@ def build_universal_dag(dag: Dag, max_product: int = 10 ** 6) -> UpdateSystem:
     for v in reversed(dag.topological_order()):
         arg_pools = [pools[j] for j in dag.out_neighbors(v)]
         product_size = math.prod(map(len, arg_pools))
-        if product_size > max_product:
+        if product_size > errors.MAX_PRODUCT:
             raise ResourceGuardError(
                 f"vertex {v} table needs {product_size} rows, "
-                f"over max_product={max_product}"
+                f"over MAX_PRODUCT={errors.MAX_PRODUCT}"
             )
         memos, folds = _prefix_folds(arg_pools)
         outputs = {f: (v,) + f for f in folds}
@@ -195,8 +196,17 @@ def random_words(n: int, count: int, max_len: int, seed: int) -> Iterator[Word]:
         yield tuple(rng.randint(1, n) for _ in range(length))
 
 
+class _Report:
+    """JSON rendering shared by the report dataclasses below."""
+
+    def to_json(self, style: str | None = "letters") -> dict:
+        """The fields, with each counterexample's word rendered in ``style``."""
+        return {**asdict(self), "counterexamples": [
+            {**ce, "word": format_word(ce["word"], style)} for ce in self.counterexamples]}
+
+
 @dataclass
-class TheoremReport:
+class TheoremReport(_Report):
     n: int
     checked: int
     counterexamples: list[dict]
@@ -204,19 +214,6 @@ class TheoremReport:
     @property
     def ok(self) -> bool:
         return not self.counterexamples
-
-    def to_json(self, style: str | None = "letters") -> dict:
-        return {
-            "n": self.n,
-            "checked": self.checked,
-            "counterexamples": [
-                {**ce, "word": format_word(ce["word"], style)}
-                for ce in self.counterexamples
-            ],
-        }
-
-
-MAX_COUNTEREXAMPLES = 20
 
 
 def verify_theorem(n: int, words: Iterable[Word],
@@ -228,7 +225,8 @@ def verify_theorem(n: int, words: Iterable[Word],
     (c) every partial fold over vertices 1..k, k < n, equals the
     {1..k}-truncation of canonical_form(w).  The fold of (b) is the last
     partial fold, so the folds are computed once.  Only the first
-    ``MAX_COUNTEREXAMPLES`` failures are kept; ``checked`` counts every word.
+    ``errors.MAX_COUNTEREXAMPLES`` failures are kept; ``checked`` counts
+    every word.
     """
     usys = system if system is not None else build_universal(n)
     if usys.n != n:
@@ -239,7 +237,7 @@ def verify_theorem(n: int, words: Iterable[Word],
     counterexamples: list[dict] = []
 
     def note(w, kind, **extra):
-        if len(counterexamples) < MAX_COUNTEREXAMPLES:
+        if len(counterexamples) < errors.MAX_COUNTEREXAMPLES:
             counterexamples.append({"word": w, "kind": kind, **extra})
 
     for w in words:
@@ -263,7 +261,7 @@ def verify_theorem(n: int, words: Iterable[Word],
 
 
 @dataclass
-class IsoReport:
+class IsoReport(_Report):
     """``checked`` counts the Cayley edges of K_n compared with those of D."""
 
     n: int
@@ -276,21 +274,8 @@ class IsoReport:
     def ok(self) -> bool:
         return self.kn_size == self.dynamics_size and not self.counterexamples
 
-    def to_json(self, style: str | None = "letters") -> dict:
-        return {
-            "n": self.n,
-            "kn_size": self.kn_size,
-            "dynamics_size": self.dynamics_size,
-            "checked": self.checked,
-            "counterexamples": [
-                {**ce, "word": format_word(ce["word"], style)}
-                for ce in self.counterexamples
-            ],
-        }
 
-
-def verify_isomorphism(n: int, max_states: int = 10 ** 6,
-                       max_size: int = 10 ** 6) -> IsoReport:
+def verify_isomorphism(n: int, max_size: int | None = None) -> IsoReport:
     """Certify that the dynamics monoid D of the universal system is K_n.
 
     phi sends each element of K_n, taken in shortlex order, to a map of D:
@@ -301,10 +286,11 @@ def verify_isomorphism(n: int, max_states: int = 10 ** 6,
     every word w, by induction on its length, so phi is onto D; equal sizes
     then make phi a bijection, which proves F_u = F_v iff Can u = Can v for
     all words.  A disagreeing edge is a counterexample.  ``max_size`` caps
-    both monoids.
+    both monoids; if it is None, D is capped at ``errors.MAX_ELEMENTS`` and
+    K_n only by the vertex guard.  At n = 6 the universal system's state
+    space is over ``errors.MAX_STATES``.
     """
-    monoid = build_universal(n).system.dynamics_monoid(max_size=max_size,
-                                                       max_states=max_states)
+    monoid = build_universal(n).system.dynamics_monoid(max_size=max_size)
     kn = enumerate_kn(n, max_elements=max_size)
     d_right, k_right = monoid.right, kn.right
     phi = [0] * len(kn)

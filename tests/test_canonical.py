@@ -12,7 +12,7 @@ from conftest import (
     reference_closure,
     words_over,
 )
-from kiselman import canonical
+from kiselman import canonical, errors
 from kiselman.canonical import (
     StepKind,
     StepSite,
@@ -230,7 +230,7 @@ def test_enumerate_kn_small():
 
 def test_enumerate_kn_guards(monkeypatch):
     with pytest.raises(ResourceGuardError,
-                       match="alphabet size 8 exceeds max_alphabet=6"):
+                       match="vertex guard: 8 vertices exceed MAX_VERTICES=6"):
         enumerate_kn(8)
     with pytest.raises(ResourceGuardError,
                        match="K_4 enumeration exceeds max_elements=20"):
@@ -240,13 +240,19 @@ def test_enumerate_kn_guards(monkeypatch):
         enumerate_kn(4, max_elements=114)
     with pytest.raises(ValueError):
         enumerate_kn(0)
+    monkeypatch.setattr(errors, "MAX_VERTICES", 2)
+    assert len(enumerate_kn(2)) == 5
+    with pytest.raises(ResourceGuardError,
+                       match="vertex guard: 3 vertices exceed MAX_VERTICES=2"):
+        enumerate_kn(3)
+    monkeypatch.setattr(errors, "MAX_VERTICES", 6)
 
     def unclosed(*args):
         raise AssertionError("the closure started before the alphabet guard")
 
     monkeypatch.setattr(canonical, "froidure_pin", unclosed)
     with pytest.raises(ResourceGuardError,
-                       match="alphabet size 7 exceeds max_alphabet=6"):
+                       match="vertex guard: 7 vertices exceed MAX_VERTICES=6"):
         enumerate_kn(7)
 
 

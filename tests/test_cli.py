@@ -95,7 +95,7 @@ def test_enum_hk_refuses_large_graphs_before_building_them(capsys, monkeypatch, 
     monkeypatch.setattr(cli, "complete_dag", unbuilt)
     monkeypatch.setattr(sds, "Dag", unbuilt)
     code, _, err = run_cli(capsys, "enum-hk", "--graph", "complete:1500")
-    assert code == 3 and "max_vertices=6" in err
+    assert code == 3 and "MAX_VERTICES=6" in err
     gfile = tmp_path / "big.json"
     gfile.write_text(json.dumps({"n": 10 ** 9, "edges": []}))
     code, _, err = run_cli(capsys, "enum-hk", "--graph", str(gfile))
@@ -242,14 +242,24 @@ def test_max_elements_reaches_the_guard_of_each_command(capsys, monkeypatch):
 
     monkeypatch.setattr(canonical, "froidure_pin", unclosed)
     code, _, err = run_cli(capsys, "enum-kn", "7")
-    assert code == 3 and "max_alphabet=6" in err
+    assert code == 3 and "vertex guard: 7 vertices exceed MAX_VERTICES=6" in err
+
+
+def test_guards_without_a_flag_name_their_constant(capsys):
+    for argv, message in (
+            (["verify-iso", "--n", "6"], "exceeds MAX_STATES=1000000"),
+            (["verify-theorem", "--n", "7"], "over MAX_PRODUCT=1000000"),
+            (["enum-kn", "7"], "exceed MAX_VERTICES=6"),
+            (["enum-hk", "--graph", "complete:7"], "exceed MAX_VERTICES=6")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and message in err, argv
 
 
 def test_conjecture_sweep_vertex_guard(capsys):
     code, _, err = run_cli(capsys, "conjecture-sweep", "--max-vertices", "0")
     assert code == 2 and "max_vertices=0" in err
     code, _, err = run_cli(capsys, "conjecture-sweep", "--max-vertices", "6")
-    assert code == 3 and "max_vertices=6" in err
+    assert code == 3 and "max_vertices=6 exceeds MAX_CATALOG_VERTICES=5" in err
 
 
 def test_conjecture_sweep(capsys, tmp_path):

@@ -45,7 +45,7 @@ def test_catalog_items_are_pairwise_non_isomorphic():
 
 def test_catalog_guard():
     with pytest.raises(ResourceGuardError,
-                       match="max_vertices=6 exceeds the limit of 5 vertices"):
+                       match="max_vertices=6 exceeds MAX_CATALOG_VERTICES=5"):
         enumerate_dags(6)
     for bad in (0, -1):
         with pytest.raises(ValueError, match=f"max_vertices={bad}"):

@@ -196,7 +196,7 @@ def test_representatives_are_least_in_their_class():
 
 
 def test_guards():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError, match="7 vertices exceed MAX_VERTICES=6"):
         enumerate_hk(Dag(7, []))
     with pytest.raises(ResourceGuardError, match="max_cosets=50"):
         enumerate_hk(Dag(4, [(1, 2)]), max_cosets=50)
@@ -207,8 +207,10 @@ def test_guards():
 
 
 def test_algorithm_b_runs_under_the_coset_guard():
-    # Todd-Coxeter closes at 128 classes under this cap; K_7 overflows it
+    # Todd-Coxeter closes at 64 classes under this cap; K_6 overflows it
     started = time.perf_counter()
-    with pytest.raises(ResourceGuardError, match="max_cosets=1000"):
-        enumerate_hk(Dag(7, []), max_vertices=7, max_cosets=1000)
+    with pytest.raises(ResourceGuardError,
+                       match="K_6 for algorithm B has more than 1000 elements; "
+                             "raise max_cosets=1000"):
+        enumerate_hk(Dag(6, []), max_cosets=1000)
     assert time.perf_counter() - started < 1.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_dynamics
+from kiselman import errors, sds
 from kiselman.canonical import enumerate_kn
 from kiselman.errors import ResourceGuardError
 from kiselman.sds import (
@@ -234,12 +235,30 @@ def test_state_indexing_round_trip(arrow_system):
         assert arrow_system.state_at(idx) == s
 
 
-def test_dynamics_guards(arrow_system):
+def test_state_index_and_vertex_are_checked():
+    sys = random_update_system(Dag(3, [(1, 2), (2, 3)]), 3, 4)
+    for bad in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            sys.local_table(bad)
+    with pytest.raises(ValueError, match="vertex 0 out of range"):
+        sys.evolution_table((0,))
+    count = sys.state_count()
+    assert sys.state_at(count - 1) == tuple(states[-1] for states in sys.state_sets)
+    for bad in (count, -1):
+        with pytest.raises(ValueError, match=f"state index {bad} out of range"):
+            sys.state_at(bad)
+
+
+def test_dynamics_guards(arrow_system, monkeypatch):
+    monkeypatch.setattr(errors, "MAX_STATES", 3)
     with pytest.raises(ResourceGuardError,
-                       match="state space of size 6 exceeds max_states=3"):
-        arrow_system.dynamics_monoid(max_states=3)
-    with pytest.raises(ResourceGuardError, match="max_states=5"):
-        arrow_system.evolution_table((1,), max_states=5)
+                       match="state space of size 6 exceeds MAX_STATES=3"):
+        arrow_system.dynamics_monoid()
+    monkeypatch.setattr(errors, "MAX_STATES", 5)
+    with pytest.raises(ResourceGuardError, match="MAX_STATES=5"):
+        arrow_system.evolution_table((1,))
+    monkeypatch.setattr(errors, "MAX_STATES", 6)
+    assert len(arrow_system.evolution_table((1,))) == 6
     with pytest.raises(ResourceGuardError, match="dynamics monoid exceeds max_size=2"):
         arrow_system.dynamics_monoid(max_size=2)
     assert arrow_system.dynamics_monoid(max_size=5).size == 5
@@ -247,18 +266,37 @@ def test_dynamics_guards(arrow_system):
         arrow_system.dynamics_monoid(max_size=4)
 
 
-def test_state_guard_holds_for_cached_local_tables():
+def test_state_guard_holds_for_cached_local_tables(monkeypatch):
     """The guard fires before and after the local tables are cached."""
     sys = build_universal_dag(complete_dag(3))
     assert sys.state_count() == 36
-    with pytest.raises(ResourceGuardError, match="max_states=1"):
-        check_hk_relations(sys, max_states=1)
+    monkeypatch.setattr(errors, "MAX_STATES", 1)
+    with pytest.raises(ResourceGuardError, match="MAX_STATES=1"):
+        check_hk_relations(sys)
+    monkeypatch.setattr(errors, "MAX_STATES", 10 ** 6)
     sys.dynamics_monoid()
-    with pytest.raises(ResourceGuardError, match="max_states=1"):
-        check_hk_relations(sys, max_states=1)
-    with pytest.raises(ResourceGuardError, match="max_states=35"):
-        sys.local_table(1, max_states=35)
-    assert check_hk_relations(sys, max_states=36).ok
+    monkeypatch.setattr(errors, "MAX_STATES", 1)
+    with pytest.raises(ResourceGuardError, match="MAX_STATES=1"):
+        check_hk_relations(sys)
+    monkeypatch.setattr(errors, "MAX_STATES", 35)
+    with pytest.raises(ResourceGuardError, match="MAX_STATES=35"):
+        sys.local_table(1)
+    monkeypatch.setattr(errors, "MAX_STATES", 36)
+    assert check_hk_relations(sys).ok
+
+
+def test_state_guard_fires_before_any_allocation(arrow_system, monkeypatch):
+    def unclosed(*args):
+        raise AssertionError("the closure started before the state guard")
+
+    monkeypatch.setattr(sds, "froidure_pin", unclosed)
+    monkeypatch.setattr(errors, "MAX_STATES", 5)
+    for entry in (lambda: arrow_system.local_table(1),
+                  lambda: arrow_system.evolution_table(()),
+                  arrow_system.dynamics_monoid,
+                  lambda: check_hk_relations(arrow_system)):
+        with pytest.raises(ResourceGuardError, match="size 6 exceeds MAX_STATES=5"):
+            entry()
 
 
 def _assert_matches_reference(sys):

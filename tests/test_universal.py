@@ -7,7 +7,7 @@ from conftest import reference_build_universal_dag, random_word, words_over
 from kiselman.canonical import canonical_form, canonical_words, is_canonical
 from kiselman.conjectures import enumerate_dags
 from kiselman.errors import ResourceGuardError
-from kiselman import universal
+from kiselman import errors, universal
 from kiselman.sds import (
     Dag,
     UpdateSystem,
@@ -139,7 +139,7 @@ def test_build_universal_tables_close_into_state_sets(u4):
 
 
 def test_build_universal_guard():
-    with pytest.raises(ResourceGuardError, match="max_product=1000000"):
+    with pytest.raises(ResourceGuardError, match="MAX_PRODUCT=1000000"):
         build_universal(7)
     with pytest.raises(ValueError):
         build_universal(0)
@@ -152,10 +152,17 @@ def test_build_universal_guard_fires_before_any_table_is_built(monkeypatch):
     monkeypatch.setattr(universal, "_vertex_table", no_rows)
     with pytest.raises(ResourceGuardError) as exc:
         build_universal(7)
-    assert str(exc.value) == "vertex 1 table needs 219668652 rows, over max_product=1000000"
+    assert str(exc.value) == "vertex 1 table needs 219668652 rows, over MAX_PRODUCT=1000000"
     # the guard of every vertex comes first, even of the last one built
-    with pytest.raises(ResourceGuardError, match="vertex 1 table needs 6 rows"):
-        build_universal_dag(complete_dag(3), max_product=5)
+    monkeypatch.setattr(errors, "MAX_PRODUCT", 5)
+    with pytest.raises(ResourceGuardError,
+                       match="vertex 1 table needs 6 rows, over MAX_PRODUCT=5"):
+        build_universal_dag(complete_dag(3))
+
+
+def test_build_universal_accepts_a_table_at_the_row_guard(monkeypatch):
+    monkeypatch.setattr(errors, "MAX_PRODUCT", 6)  # vertex 1 of Gamma_3 has 6 rows
+    assert len(build_universal_dag(complete_dag(3)).vertex_functions[0]) == 6
 
 
 def test_predicted_state_examples():
@@ -306,8 +313,8 @@ def _certify(monkeypatch, system):
 class _OneRowAltered(UpdateSystem):
     """F_1 sends all-STAR to (STAR, b, STAR), so it is no longer idempotent."""
 
-    def local_table(self, i, max_states=10 ** 6):
-        table = super().local_table(i, max_states)
+    def local_table(self, i):
+        table = super().local_table(i)
         if i != 1:
             return table
         return (self.state_index((STAR, (2,), STAR)),) + table[1:]
@@ -347,8 +354,10 @@ def test_random_words_is_reproducible():
 def test_report_json_rendering():
     report = verify_theorem(2, exhaustive_words(2, 4))
     blob = report.to_json()
+    assert set(blob) == {"n", "checked", "counterexamples"}
     assert blob["n"] == 2 and blob["checked"] == report.checked
     iso = verify_isomorphism(2)
     blob = iso.to_json()
+    assert set(blob) == {"n", "kn_size", "dynamics_size", "checked", "counterexamples"}
     assert blob["kn_size"] == blob["dynamics_size"] == 5
     assert blob["checked"] == 10 and blob["counterexamples"] == []
