@@ -34,6 +34,7 @@ from .sds import (
     complete_dag,
     dag_from_json,
     dag_to_json,
+    parse_graph,
     random_update_system,
     reachable_states,
     system_from_json,
@@ -46,7 +47,6 @@ from .universal import (
     build_universal_dag,
     fold_join,
     predicted_state,
-    reachability_report,
     reconstruct_canonical,
     star_state,
     verify_isomorphism,

@@ -7,7 +7,7 @@ MAX_VERTICES = 6  # the K_n alphabet, HK graphs and command-line graphs
 MAX_STATES = 10 ** 6  # the enumerated state space of an update system
 MAX_PRODUCT = 10 ** 6  # rows of one vertex table in build_universal_dag
 MAX_COSETS = 2_000_000  # default max_cosets of enumerate_hk
-MAX_ELEMENTS = 10 ** 6  # default max_size of dynamics_monoid and verify_isomorphism
+MAX_ELEMENTS = 10 ** 6  # default max_size of dynamics_monoid
 MAX_CATALOG_VERTICES = 5  # the largest graphs in the DAG catalog
 MAX_COUNTEREXAMPLES = 20  # counterexamples that verify_theorem keeps
 
@@ -24,12 +24,11 @@ class HkDisagreementError(RuntimeError):
     """
 
 
-def check_vertex_count(n: int, max_vertices: int | None = None) -> None:
-    """Refuse more than ``max_vertices`` vertices, or MAX_VERTICES if None."""
-    name, limit = (("MAX_VERTICES", MAX_VERTICES) if max_vertices is None
-                   else ("max_vertices", max_vertices))
-    if n > limit:
-        raise ResourceGuardError(f"vertex guard: {n} vertices exceed {name}={limit}")
+def check_vertex_count(n: int) -> None:
+    """Refuse more than MAX_VERTICES vertices."""
+    if n > MAX_VERTICES:
+        raise ResourceGuardError(
+            f"vertex guard: {n} vertices exceed MAX_VERTICES={MAX_VERTICES}")
 
 
 def check_state_count(count: int) -> None:

@@ -33,9 +33,9 @@ right product of a map by generator ``a`` is F_a applied after it, so a
 witness is the reversed reduced word, and maps come out in breadth-first
 order with shortest witnesses.  A composition is computed only where a new
 map can appear; every other product is read off the Cayley graphs.  The
-monoid keeps the maps and one of the two graphs, ``right``, which appends a
-letter to a witness word.  Tables are hashed once, inside the closure.  All
-structures are immutable after construction.
+monoid keeps only the maps and their witnesses, not the Cayley graphs.
+Tables are hashed once, inside the closure.  All structures are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ import heapq
 import itertools
 import math
 import random
-from array import array
 from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from operator import add, itemgetter, sub
 
 from .closure import froidure_pin
 from . import errors
-from .errors import check_state_count, check_vertex_count
+from .errors import check_state_count
 from .words import Word
 
 Token = Hashable
@@ -139,22 +138,15 @@ class DynamicsMap:
 
 
 class DynamicsMonoid:
-    """Interned dynamics maps and their right Cayley graph.
-
-    ``maps[0]`` is the identity.  ``right`` is an ``array('i')`` indexed
-    ``u * n + a``: ``right[u * n + a]`` is the index of ``maps[u]`` after
-    ``F_(a+1)``, the map of the word ``maps[u].witness + (a + 1,)``.  The
-    closure runs on reversed words, so this is the graph it builds by left
-    products.
+    """Interned dynamics maps, ``maps[0]`` the identity.
 
     ``stats`` says what the closure did: ``states``, ``maps``,
     ``compositions`` (tables actually computed) and ``products`` (Cayley
     edges filled, one per map and generator).
     """
 
-    def __init__(self, maps: list[DynamicsMap], right: array, stats: dict[str, int]):
+    def __init__(self, maps: list[DynamicsMap], stats: dict[str, int]):
         self.maps = tuple(maps)
-        self.right = right
         self.stats = stats
 
     def __iter__(self):
@@ -308,16 +300,14 @@ class UpdateSystem:
         The Froidure-Pin routine of ``closure`` composes a table only where
         a new map can appear.  Maps come out in breadth-first order, each
         with a shortest witnessing schedule word, least in shortlex order
-        when read backwards.  The monoid keeps the closure's Cayley graph
-        of products ``F_w F_a`` as ``right``, so products of a map with a
-        local map are read off it.  ``max_size`` caps the number of maps,
+        when read backwards.  ``max_size`` caps the number of maps,
         ``errors.MAX_ELEMENTS`` if None; the state guard runs in ``local_table``.
         """
         max_size = errors.MAX_ELEMENTS if max_size is None else max_size
         n = self.graph.n
         gens = [self.local_table(g) for g in range(1, n + 1)]
         count = self.state_count()
-        tables, prefix, last, compositions, _, right = froidure_pin(
+        tables, prefix, last, compositions, _, _ = froidure_pin(
             tuple(range(count)), gens, lambda m, g: compose_tables(g, m), max_size,
             f"dynamics monoid exceeds max_size={max_size} (--max-elements)",
         )
@@ -327,7 +317,7 @@ class UpdateSystem:
         maps = [DynamicsMap(t, k, w) for k, (t, w) in enumerate(zip(tables, witnesses))]
         stats = {"states": count, "maps": len(maps),
                  "compositions": compositions, "products": n * len(maps)}
-        return DynamicsMonoid(maps, array("i", right), stats)
+        return DynamicsMonoid(maps, stats)
 
 
 def reachable_states(sys: UpdateSystem, initial: SystemState) -> set[SystemState]:
@@ -368,27 +358,30 @@ class RelationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def check_hk_relations(sys: UpdateSystem) -> RelationReport:
+def check_hk_relations(sys: UpdateSystem, graph: Dag | None = None) -> RelationReport:
     """Verify idempotence, the edge triple, and non-adjacent commutation.
 
-    A failing entry signals an implementation bug: the relations hold for
-    every update system on an acyclic graph.
+    The relations are those of ``graph``, the system's own graph if None,
+    evaluated on the system's local maps.  On its own graph a failing entry
+    signals an implementation bug: the relations hold for every update
+    system on an acyclic graph.
     """
-    n = sys.graph.n
+    graph = sys.graph if graph is None else graph
+    n = graph.n
     t = {g: sys.local_table(g) for g in range(1, n + 1)}
 
     checks = []
     for i in range(1, n + 1):
         ok = compose_tables(t[i], t[i]) == t[i]
         checks.append(RelationCheck("idempotent", (i,), ok))
-    for i, j in sys.graph.sorted_edges():
+    for i, j in graph.sorted_edges():
         ij = compose_tables(t[i], t[j])
         iji = compose_tables(ij, t[i])
         jij = compose_tables(t[j], compose_tables(t[i], t[j]))
         checks.append(RelationCheck("edge-triple", (i, j), iji == ij and jij == ij))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if not sys.graph.adjacent(i, j):
+            if not graph.adjacent(i, j):
                 ok = compose_tables(t[i], t[j]) == compose_tables(t[j], t[i])
                 checks.append(RelationCheck("commute", (i, j), ok))
     return RelationReport(tuple(checks))
@@ -419,16 +412,18 @@ def dag_to_json(dag: Dag) -> dict:
     return {"n": dag.n, "edges": [list(e) for e in dag.sorted_edges()]}
 
 
-def dag_from_json(obj: dict, max_vertices: int | None = None) -> Dag:
-    """Load a graph; ``max_vertices`` is checked before the graph is built."""
+def parse_graph(obj: dict) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and edges of a graph object, before any graph is built."""
     try:
         n = int(obj["n"])
         edges = [(int(i), int(j)) for i, j in obj.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad graph object: {exc}") from None
-    if max_vertices is not None:
-        check_vertex_count(n, max_vertices)
-    return Dag(n, edges)
+    return n, edges
+
+
+def dag_from_json(obj: dict) -> Dag:
+    return Dag(*parse_graph(obj))
 
 
 def system_to_json(sys: UpdateSystem) -> dict:
@@ -449,21 +444,28 @@ def system_to_json(sys: UpdateSystem) -> dict:
 
 
 def system_from_json(obj: dict) -> UpdateSystem:
-    """Load a system; state tokens are kept as the strings found in the file."""
+    """Load a system; state tokens are kept as the strings found in the file.
+
+    The vertex count is compared with the state rows before the graph, or
+    anything sized by the vertex count, is built.
+    """
     try:
-        graph = dag_from_json(obj["graph"])
+        n, edges = parse_graph(obj["graph"])
         states = [[str(tok) for tok in row] for row in obj["states"]]
         raw_functions = list(obj["functions"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad system object: {exc}") from None
-    tables: list[dict | None] = [None] * graph.n
+    if n != len(states):
+        raise ValueError(f"graph has {n} vertices but there are {len(states)} state rows")
+    graph = Dag(n, edges)
+    tables: list[dict | None] = [None] * n
     for entry in raw_functions:
         try:
             v = int(entry["vertex"])
             rows = list(entry["table"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad function entry: {exc}") from None
-        if not 1 <= v <= graph.n:
+        if not 1 <= v <= n:
             raise ValueError(f"function entry for unknown vertex {v}")
         if tables[v - 1] is not None:
             raise ValueError(f"vertex {v} has two function tables")
@@ -480,5 +482,6 @@ def system_from_json(obj: dict) -> UpdateSystem:
         tables[v - 1] = table
     missing = [v + 1 for v, t in enumerate(tables) if t is None]
     if missing:
-        raise ValueError(f"missing function tables for vertices {missing}")
+        shown = ", ".join(map(str, missing[:5])) + (", ..." if len(missing) > 5 else "")
+        raise ValueError(f"missing function tables for {len(missing)} vertices: {shown}")
     return UpdateSystem(graph, states, tables)

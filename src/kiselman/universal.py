@@ -39,8 +39,9 @@ states with joins recovers the canonical form of w itself; two schedule
 words therefore induce the same dynamics exactly when their canonical forms
 agree, which makes the dynamics monoid of this system a faithful copy of
 Kiselman's monoid K_n.  ``verify_theorem`` machine-checks those statements
-word by word, and ``verify_isomorphism`` certifies the isomorphism on the
-Cayley graphs of both monoids.
+word by word, and ``verify_isomorphism`` certifies the isomorphism from the
+defining relations and the orbit of all-STAR, without closing the dynamics
+monoid or building any Cayley graph.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from .canonical import canonical_form, canonical_form_restricted, enumerate_kn
 from . import errors
 from .errors import ResourceGuardError
-from .sds import Dag, UpdateSystem, complete_dag, reachable_states
+from .sds import Dag, UpdateSystem, check_hk_relations, complete_dag, reachable_states
 from .words import STAR, Word, format_word, join, truncate, truncate_set
 
 
@@ -161,9 +162,8 @@ def star_state(n: int) -> tuple[Word, ...]:
 def build_universal(n: int) -> UniversalSystem:
     """The join-based system on the complete acyclic graph with n vertices.
 
-    The state sets are built exactly as defined, top vertex first; whether
-    every listed state is reachable from all-STAR is reported separately by
-    ``reachability_report`` and asserted nowhere.
+    The state sets are built exactly as defined, top vertex first; not
+    every listed state need be reachable from all-STAR.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -196,17 +196,8 @@ def random_words(n: int, count: int, max_len: int, seed: int) -> Iterator[Word]:
         yield tuple(rng.randint(1, n) for _ in range(length))
 
 
-class _Report:
-    """JSON rendering shared by the report dataclasses below."""
-
-    def to_json(self, style: str | None = "letters") -> dict:
-        """The fields, with each counterexample's word rendered in ``style``."""
-        return {**asdict(self), "counterexamples": [
-            {**ce, "word": format_word(ce["word"], style)} for ce in self.counterexamples]}
-
-
 @dataclass
-class TheoremReport(_Report):
+class TheoremReport:
     n: int
     checked: int
     counterexamples: list[dict]
@@ -214,6 +205,11 @@ class TheoremReport(_Report):
     @property
     def ok(self) -> bool:
         return not self.counterexamples
+
+    def to_json(self, style: str | None = "letters") -> dict:
+        """The fields, with each counterexample's word rendered in ``style``."""
+        return {**asdict(self), "counterexamples": [
+            {**ce, "word": format_word(ce["word"], style)} for ce in self.counterexamples]}
 
 
 def verify_theorem(n: int, words: Iterable[Word],
@@ -261,68 +257,42 @@ def verify_theorem(n: int, words: Iterable[Word],
 
 
 @dataclass
-class IsoReport(_Report):
-    """``checked`` counts the Cayley edges of K_n compared with those of D."""
+class IsoReport:
+    """``failures`` lists the relations of K_n that the local maps break."""
 
     n: int
     kn_size: int
-    dynamics_size: int
-    checked: int
-    counterexamples: list[dict]
+    orbit_size: int
+    failures: list[dict]
 
     @property
     def ok(self) -> bool:
-        return self.kn_size == self.dynamics_size and not self.counterexamples
+        return not self.failures and self.orbit_size == self.kn_size
 
 
-def verify_isomorphism(n: int, max_size: int | None = None) -> IsoReport:
+def verify_isomorphism(n: int) -> IsoReport:
     """Certify that the dynamics monoid D of the universal system is K_n.
 
-    phi sends each element of K_n, taken in shortlex order, to a map of D:
-    phi(STAR) is the identity, and phi(c) = phi(c') F_a for the canonical
-    word c = c' a, read off D's right Cayley graph (c' is canonical and
-    listed before c).  Then every right Cayley edge of K_n is compared:
-    phi(u a) must be phi(u) F_a.  If all agree, phi(class of w) = F_w for
-    every word w, by induction on its length, so phi is onto D; equal sizes
-    then make phi a bijection, which proves F_u = F_v iff Can u = Can v for
-    all words.  A disagreeing edge is a counterexample.  ``max_size`` caps
-    both monoids; if it is None, D is capped at ``errors.MAX_ELEMENTS`` and
-    K_n only by the vertex guard.  At n = 6 the universal system's state
-    space is over ``errors.MAX_STATES``.
+    Two inequalities bound the orbit of the initial state x, the set of
+    states F_w(x) over all schedule words w; on the universal system x is
+    all-STAR, the first state of every vertex:
+
+    * |orbit| <= |D|, since the state F_w(x) depends only on the map F_w;
+    * |D| <= |K_n| once the local maps satisfy the defining relations of
+      K_n, those of the complete acyclic graph (checked on that graph,
+      whatever graph the system carries): then w -> F_w factors through
+      K_n, and D is a quotient of it.
+
+    So a clean relation check together with |orbit| = |K_n| forces
+    |D| = |K_n|, and the quotient map K_n -> D is a bijection: two schedule
+    words act alike exactly when their canonical forms agree.  Nothing is
+    unbounded: the relation check runs first, and its state guard refuses
+    n = 6 (``errors.MAX_STATES``) before the orbit is explored; K_n is
+    capped by the vertex guard.
     """
-    monoid = build_universal(n).system.dynamics_monoid(max_size=max_size)
-    kn = enumerate_kn(n, max_elements=max_size)
-    d_right, k_right = monoid.right, kn.right
-    phi = [0] * len(kn)
-    for u, c in enumerate(kn.canons[1:], start=1):
-        phi[u] = d_right[phi[kn.index[c[:-1]]] * n + c[-1] - 1]
-    counterexamples: list[dict] = []
-    for u, c in enumerate(kn.canons):
-        for a in range(n):
-            if phi[k_right[u * n + a]] != d_right[phi[u] * n + a]:
-                counterexamples.append({"word": c, "letter": a + 1,
-                                        "kind": "cayley-edge"})
-    return IsoReport(n, len(kn), monoid.size, n * len(kn), counterexamples)
-
-
-@dataclass(frozen=True)
-class ReachabilityReport:
-    n: int
-    defined_sizes: tuple[int, ...]
-    reachable_sizes: tuple[int, ...]
-    reachable_state_count: int
-
-
-def reachability_report(usys: UniversalSystem) -> ReachabilityReport:
-    """Count, per vertex, the defined states versus those reachable from all-STAR."""
-    reached = reachable_states(usys.system, star_state(usys.n))
-    per_vertex = [set() for _ in range(usys.n)]
-    for state in reached:
-        for v, tok in enumerate(state):
-            per_vertex[v].add(tok)
-    return ReachabilityReport(
-        usys.n,
-        tuple(len(s) for s in usys.system.state_sets),
-        tuple(len(s) for s in per_vertex),
-        len(reached),
-    )
+    system = build_universal(n).system
+    relations = check_hk_relations(system, complete_dag(n))
+    orbit = reachable_states(system, system.initial_state())
+    failures = [{"kind": c.kind, "vertices": list(c.vertices)}
+                for c in relations.failures()]
+    return IsoReport(n, len(enumerate_kn(n)), len(orbit), failures)

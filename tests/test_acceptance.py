@@ -24,11 +24,14 @@ from kiselman.sds import (
     check_hk_relations,
     complete_dag,
     random_update_system,
+    reachable_states,
 )
 from kiselman.universal import (
     build_universal,
     exhaustive_words,
     random_words,
+    star_state,
+    verify_isomorphism,
     verify_theorem,
 )
 from kiselman.words import (
@@ -261,17 +264,32 @@ def test_criterion_05_main_theorem_randomized():
 
 
 def test_criterion_06_isomorphism_counts():
-    """|D| of the universal system equals |K_n| for n = 1..4, K_n doubly counted."""
+    """|D| of the universal system equals |K_n|, certified two ways.
+
+    For n = 1..5, ``verify_isomorphism``: the relations of K_n hold, so
+    |D| <= |K_n|, and the orbit of all-STAR reaches |K_n| states, so
+    |D| >= |K_n|.  For n <= 4 the full closure of D counts it directly, K_n
+    doubly counted.  At n = 6 only the lower bound is checked: the orbit of
+    all-STAR has |K_6| = 83,973 states.  The upper bound there rests on the
+    paper's theorem, since the relation tables over the 219,668,652 states
+    of the universal system are refused by the state guard.
+    """
     sizes = {}
+    for n in (1, 2, 3, 4, 5):
+        report = verify_isomorphism(n)
+        assert report.ok and report.orbit_size == report.kn_size
+        sizes[n] = report.kn_size
     for n in (1, 2, 3, 4):
         monoid = enumerate_kn(n)
         direct = set(canonical_words(n, monoid.max_word_length + 2))
         assert direct == set(monoid)
         dynamics = build_universal(n).system.dynamics_monoid()
-        assert dynamics.size == len(monoid)
-        sizes[n] = len(monoid)
-    assert sizes == {1: 2, 2: 5, 3: 18, 4: 115}
-    print(f"criterion 6: |D| = |K_n| for n=1..4, sizes {sizes}")
+        assert dynamics.size == len(monoid) == sizes[n]
+    assert sizes == {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710}
+    orbit6 = reachable_states(build_universal(6).system, star_state(6))
+    assert len(orbit6) == 83973 == len(enumerate_kn(6))
+    print(f"criterion 6: |D| = |K_n| for n=1..5, sizes {sizes}; "
+          f"orbit of all-STAR at n=6: {len(orbit6)}")
 
 
 def test_criterion_07_hk_dual_agreement():

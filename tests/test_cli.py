@@ -93,13 +93,14 @@ def test_enum_hk_refuses_large_graphs_before_building_them(capsys, monkeypatch, 
         raise AssertionError("the graph was built before the vertex guard")
 
     monkeypatch.setattr(cli, "complete_dag", unbuilt)
+    monkeypatch.setattr(cli, "Dag", unbuilt)
     monkeypatch.setattr(sds, "Dag", unbuilt)
     code, _, err = run_cli(capsys, "enum-hk", "--graph", "complete:1500")
-    assert code == 3 and "MAX_VERTICES=6" in err
+    assert code == 3 and "vertex guard: 1500 vertices exceed MAX_VERTICES=6" in err
     gfile = tmp_path / "big.json"
     gfile.write_text(json.dumps({"n": 10 ** 9, "edges": []}))
     code, _, err = run_cli(capsys, "enum-hk", "--graph", str(gfile))
-    assert code == 3 and "max_vertices=6" in err
+    assert code == 3 and "vertex guard: 1000000000 vertices exceed MAX_VERTICES=6" in err
 
 
 @pytest.fixture
@@ -136,6 +137,19 @@ def test_simulate_refuses_tokens_outside_the_state_sets(capsys, system_file):
                                  "--schedule", "1", "--initial", initial)
         assert code == 2 and out == ""
         assert f"is not a state of vertex {v}" in err
+
+
+def test_simulate_checks_the_vertex_count_before_building(capsys, tmp_path, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("the graph was built before the state rows were counted")
+
+    monkeypatch.setattr(sds, "Dag", unbuilt)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"graph": {"n": 10 ** 9, "edges": []},
+                                "states": [["0"]], "functions": []}))
+    code, out, err = run_cli(capsys, "simulate", "--system", str(path), "--schedule", "1")
+    assert code == 2 and out == ""
+    assert "graph has 1000000000 vertices but there are 1 state rows" in err
 
 
 @pytest.mark.parametrize("row", [{"out": "1"}, ["0", "1"], "0"])
@@ -210,27 +224,25 @@ def test_verify_theorem_refuses_empty_checks_at_the_parser(capsys, flags, messag
 
 
 def test_verify_iso(capsys):
-    code, out, _ = run_cli(capsys, "verify-iso", "--n", "2", "--json")
-    blob = json.loads(out)
-    assert code == 0 and blob["kn_size"] == 5 and blob["dynamics_size"] == 5
-    for n, edges in ((1, 2), (3, 54), (4, 460)):
+    for n, size in ((1, 2), (2, 5), (3, 18), (4, 115), (5, 1710)):
         code, out, _ = run_cli(capsys, "verify-iso", "--n", str(n), "--json")
         blob = json.loads(out)
-        assert code == 0 and blob["checked"] == edges and blob["counterexamples"] == []
+        assert code == 0 and blob == {"schema": 1, "n": n, "kn_size": size,
+                                      "orbit_size": size, "failures": []}
     code, out, _ = run_cli(capsys, "verify-iso", "--n", "3")
-    assert code == 0 and "Cayley edges checked: 54" in out
+    assert code == 0
+    assert out.strip() == "|K_3| = 18, orbit of all-STAR: 18, failed relations: 0"
 
 
 def test_max_elements_reaches_the_guard_of_each_command(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "enum-hk", "--graph", "complete:5",
                            "--max-elements", "10")
     assert code == 3 and "max_cosets=10" in err
-    code, _, err = run_cli(capsys, "verify-iso", "--n", "3", "--max-elements", "2")
-    assert code == 3 and "max_size=2" in err
     code, _, err = run_cli(capsys, "enum-kn", "3", "--max-elements", "17")
     assert code == 3 and "max_elements=17" in err
     for argv in (["canon", "a", "--max-elements", "5"],
                  ["verify-theorem", "--n", "2", "--max-elements", "5"],
+                 ["verify-iso", "--n", "3", "--max-elements", "2"],
                  ["verify-iso", "--n", "2", "--pairs", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

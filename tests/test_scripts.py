@@ -18,17 +18,6 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
-def test_verify_main_theorem_script():
-    lines = run_script("verify_main_theorem.py", "--exhaustive-n", "2",
-                       "--exhaustive-len", "4", "--random-n", "3",
-                       "--random-count", "50")
-    assert len(lines) == 5
-    assert [line.split()[0] for line in lines] == [
-        "exhaustive", "exhaustive", "random", "reachability", "reachability"]
-    assert all(" ok (" in line for line in lines[:3])
-    assert lines[4].startswith("reachability n=2: defined (3, 2) reachable (3, 2)")
-
-
 def test_kn_census_script():
     lines = run_script("kn_census.py", "--max-n", "3")
     assert len(lines) == 4

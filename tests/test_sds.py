@@ -21,7 +21,7 @@ from kiselman.sds import (
     system_from_json,
     system_to_json,
 )
-from kiselman.universal import build_universal_dag
+from kiselman.universal import build_universal, build_universal_dag
 
 
 @pytest.fixture
@@ -154,17 +154,20 @@ def test_monoid_is_closed_under_composition(arrow_system):
             assert tuple(a.table[x] for x in b.table) in tables
 
 
-def test_right_cayley_graph_appends_a_local_map():
-    rng = random.Random(5)
-    for seed in range(6):
-        sys = random_update_system(_random_dag(rng, 4), 3, seed)
-        monoid = sys.dynamics_monoid()
-        n = sys.graph.n
-        assert len(monoid.right) == n * monoid.size
-        for u, m in enumerate(monoid.maps):
-            for a in range(n):
-                product = monoid.maps[monoid.right[u * n + a]]
-                assert product.table == compose_tables(m.table, sys.local_table(a + 1))
+def test_token_and_index_local_maps_agree():
+    """``local_apply`` on tokens and ``local_table`` on indices are one map.
+
+    The orbit of ``verify_isomorphism`` runs on tokens and its relation check
+    on tables, so its certificate needs both to be the same map.
+    """
+    rng = random.Random(8)
+    systems = [random_update_system(_random_dag(rng, 5), 4, seed) for seed in range(12)]
+    systems += [build_universal(n).system for n in (1, 2, 3, 4)]
+    for sys in systems:
+        for i in range(1, sys.graph.n + 1):
+            table = sys.local_table(i)
+            for s in sys.states():
+                assert sys.state_index(sys.local_apply(i, s)) == table[sys.state_index(s)]
 
 
 def test_witness_words_reproduce_their_maps():
@@ -204,9 +207,11 @@ def test_words_with_equal_canonical_forms_act_equally():
     this shows F_w = F_(Can w) for all words w.
     """
     rng = random.Random(31)
-    for seed in range(8):
-        n = rng.randint(2, 4)
-        sys = random_update_system(complete_dag(n), 3, seed)
+    systems = [random_update_system(complete_dag(rng.randint(2, 4)), 3, seed)
+               for seed in range(8)]
+    systems += [build_universal(n).system for n in (2, 3, 4)]
+    for sys in systems:
+        n = sys.graph.n
         kn = enumerate_kn(n)
         tables = [sys.evolution_table(c) for c in kn]
         for u in range(len(kn)):
@@ -360,6 +365,23 @@ def test_system_json_round_trip(arrow_system):
     assert loaded.evolve((1, 2), ("0", "0")) == ("2", "1")
     again = system_to_json(loaded)
     assert again == json.loads(blob)
+
+
+def test_system_json_checks_the_vertex_count_before_building(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("the graph was built before the state rows were counted")
+
+    monkeypatch.setattr(sds, "Dag", unbuilt)
+    obj = {"graph": {"n": 10 ** 9, "edges": []}, "states": [["0"]], "functions": []}
+    with pytest.raises(ValueError, match="graph has 1000000000 vertices but there are 1 state rows"):
+        system_from_json(obj)
+
+
+def test_system_json_names_a_few_missing_tables():
+    obj = {"graph": {"n": 8, "edges": []}, "states": [["0"]] * 8,
+           "functions": [{"vertex": 3, "table": [{"args": [], "out": "0"}]}]}
+    with pytest.raises(ValueError, match=r"missing function tables for 7 vertices: 1, 2, 4, 5, 6, \.\.\.$"):
+        system_from_json(obj)
 
 
 def test_system_json_rejects_bad_tables(arrow_system):

@@ -11,6 +11,7 @@ from kiselman import errors, universal
 from kiselman.sds import (
     Dag,
     UpdateSystem,
+    check_hk_relations,
     complete_dag,
     random_update_system,
     reachable_states,
@@ -24,7 +25,6 @@ from kiselman.universal import (
     fold_join,
     predicted_state,
     random_words,
-    reachability_report,
     reconstruct_canonical,
     star_state,
     verify_isomorphism,
@@ -288,20 +288,13 @@ def test_every_reachable_state_is_canonical():
                 assert is_canonical(p)
 
 
-def test_reachability_report_counts():
-    usys = build_universal(3)
-    report = reachability_report(usys)
-    assert report.defined_sizes == (6, 3, 2)
-    assert all(r <= d for r, d in zip(report.reachable_sizes, report.defined_sizes))
-    assert report.reachable_state_count >= 1
-
-
 def test_isomorphism_small():
     for n, size in ((1, 2), (2, 5), (3, 18), (4, 115)):
         report = verify_isomorphism(n)
-        assert report.ok and report.counterexamples == []
-        assert report.kn_size == report.dynamics_size == size
-        assert report.checked == n * size  # every right Cayley edge of K_n
+        assert report.ok and report.failures == []
+        assert report.kn_size == report.orbit_size == size
+        # the orbit is taken from the initial state, which must be all-STAR
+        assert build_universal(n).system.initial_state() == star_state(n)
 
 
 def _certify(monkeypatch, system):
@@ -324,23 +317,26 @@ def test_isomorphism_certificate_flags_an_altered_system(monkeypatch):
     base = build_universal(3).system
     altered = _OneRowAltered(base.graph, base.state_sets, base.vertex_functions)
     report = _certify(monkeypatch, altered)
-    assert not report.ok
-    assert report.counterexamples[0] == {"word": (1,), "letter": 1, "kind": "cayley-edge"}
-    assert all(ce["kind"] == "cayley-edge" for ce in report.counterexamples)
-    assert report.to_json()["counterexamples"][0] == {
-        "word": "a", "letter": 1, "kind": "cayley-edge"}
-    # the relations of K_3 fail where the edges 3 -> 2, 3 -> 1, 2 -> 1 run backwards
+    assert not report.ok and report.orbit_size == report.kn_size == 18
+    assert {"kind": "idempotent", "vertices": [1]} in report.failures
+    # the relations of K_3 fail where the edges 3 -> 2, 3 -> 1, 2 -> 1 run
+    # backwards, though the system satisfies those of its own graph
     reversed_system = random_update_system(Dag(3, [(2, 1), (3, 1), (3, 2)]), 3, 3)
-    assert len(_certify(monkeypatch, reversed_system).counterexamples) == 8
+    assert check_hk_relations(reversed_system).ok
+    report = _certify(monkeypatch, reversed_system)
+    assert report.failures == [{"kind": "edge-triple", "vertices": [2, 3]}]
+    assert not report.ok
 
 
 def test_isomorphism_certificate_refuses_a_proper_quotient(monkeypatch):
-    """Every system on the complete graph is a quotient of K_n: its edges
-    all agree, and only the size tells it apart."""
+    """Every system on the complete graph is a quotient of K_n: its
+    relations all hold, and only the orbit's size tells it apart."""
     for seed, size in ((0, 10), (1, 5), (2, 2)):
-        report = _certify(monkeypatch, random_update_system(complete_dag(4), 3, seed))
-        assert report.counterexamples == []
-        assert report.dynamics_size == size and report.kn_size == 115
+        system = random_update_system(complete_dag(4), 3, seed)
+        assert system.dynamics_monoid().size == size
+        report = _certify(monkeypatch, system)
+        assert report.failures == []
+        assert report.orbit_size < 115 == report.kn_size
         assert not report.ok
 
 
@@ -356,8 +352,3 @@ def test_report_json_rendering():
     blob = report.to_json()
     assert set(blob) == {"n", "checked", "counterexamples"}
     assert blob["n"] == 2 and blob["checked"] == report.checked
-    iso = verify_isomorphism(2)
-    blob = iso.to_json()
-    assert set(blob) == {"n", "kn_size", "dynamics_size", "checked", "counterexamples"}
-    assert blob["kn_size"] == blob["dynamics_size"] == 5
-    assert blob["checked"] == 10 and blob["counterexamples"] == []
