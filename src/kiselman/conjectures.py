@@ -14,6 +14,12 @@ of the join-based system with a seeded random system on the same graph
 realises it, as ``test_diamond_graph_separates_this_construction_from_hk``
 in ``tests/test_conjectures.py`` certifies.  The shortfall belongs to the
 construction, not to the open question it probes.
+
+The classes come from ``enumerate_dags``, which visits the upper-triangular
+edge masks once and strikes out the orbit of each new class under the n!
+relabellings, so it pays n! image lookups per class, not per mask.
+``errors.MAX_CATALOG_VERTICES`` therefore caps the sweep that runs on the
+catalog (HK and the dynamics closure on every class), not the catalog.
 """
 
 from __future__ import annotations
@@ -36,21 +42,25 @@ class DagCatalog:
     items: tuple[Dag, ...]
 
 
-def _canonical_key(n: int, edges) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(1, n + 1)):
-        mapped = tuple(sorted((perm[i - 1], perm[j - 1]) for i, j in edges))
-        if best is None or mapped < best:
-            best = mapped
-    return (n, best)
+def _subset_ors(bits: list[int]) -> list[int]:
+    """``table[s]`` is the OR of ``bits[k]`` over the bits k set in s."""
+    table = [0]
+    for bit in bits:
+        table += [x | bit for x in table]
+    return table
 
 
 def enumerate_dags(max_vertices: int) -> DagCatalog:
     """Every isomorphism class of DAGs on 1..max_vertices vertices, once.
 
     Each class has a topologically labelled member (edges i -> j with
-    i < j), so iterating subsets of the upper-triangular pairs reaches all
-    classes; brute-force permutation keying removes duplicates.
+    i < j), so the subsets of the upper-triangular pairs, read as bit masks,
+    reach every class.  The masks are visited in increasing order.  The
+    first one not yet marked starts a class; then each relabelling that
+    keeps all of its edges upward marks the image, looked up half a mask at
+    a time.  Those images are exactly the class's topologically labelled
+    members, so every class is emitted once, as its least mask, in the order
+    of its least mask.
     """
     if max_vertices < 1:
         raise ValueError(f"max_vertices={max_vertices}: the catalog needs at least 1 vertex")
@@ -60,15 +70,30 @@ def enumerate_dags(max_vertices: int) -> DagCatalog:
             f"MAX_CATALOG_VERTICES={errors.MAX_CATALOG_VERTICES}"
         )
     items: list[Dag] = []
-    seen: set[tuple] = set()
     for n in range(1, max_vertices + 1):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-            key = _canonical_key(n, edges)
-            if key not in seen:
-                seen.add(key)
-                items.append(Dag(n, edges))
+        index = {pair: b for b, pair in enumerate(pairs)}
+        half = len(pairs) // 2
+        relabellings = []  # (pairs turned downward, low-half images, high-half images)
+        for perm in itertools.permutations(range(1, n + 1)):
+            down = 0
+            bits = []
+            for b, (i, j) in enumerate(pairs):
+                u, v = perm[i - 1], perm[j - 1]
+                if u > v:
+                    down |= 1 << b
+                    u, v = v, u
+                bits.append(1 << index[u, v])
+            relabellings.append((down, _subset_ors(bits[:half]), _subset_ors(bits[half:])))
+        marked = bytearray(1 << len(pairs))
+        for mask in range(len(marked)):
+            if marked[mask]:
+                continue
+            items.append(Dag(n, [pairs[b] for b in range(len(pairs)) if mask >> b & 1]))
+            low, high = mask & ((1 << half) - 1), mask >> half
+            for down, low_images, high_images in relabellings:
+                if not mask & down:
+                    marked[low_images[low] | high_images[high]] = 1
     return DagCatalog(max_vertices, tuple(items))
 
 

@@ -8,7 +8,7 @@ MAX_STATES = 10 ** 6  # the enumerated state space of an update system
 MAX_PRODUCT = 10 ** 6  # rows of one vertex table in build_universal_dag
 MAX_COSETS = 2_000_000  # default max_cosets of enumerate_hk
 MAX_ELEMENTS = 10 ** 6  # default max_size of dynamics_monoid
-MAX_CATALOG_VERTICES = 5  # the largest graphs in the DAG catalog
+MAX_CATALOG_VERTICES = 5  # the largest graphs of the sweep; enumerate_dags checks it
 MAX_COUNTEREXAMPLES = 20  # counterexamples that verify_theorem keeps
 
 

@@ -14,7 +14,7 @@ from kiselman.canonical import (
     extend_canonical,
     find_step,
 )
-from kiselman.sds import UpdateSystem
+from kiselman.sds import Dag, UpdateSystem
 from kiselman.universal import fold_join
 from kiselman.words import STAR
 
@@ -194,6 +194,37 @@ def _is_acyclic(n: int, edges) -> bool:
     return done == n
 
 
+def dag_class_key(n: int, edges) -> tuple:
+    """The least sorted edge list over all n! relabellings of a graph.
+
+    Two graphs on n vertices have the same key exactly when they are
+    isomorphic.
+    """
+    return min(tuple(sorted((p[i - 1], p[j - 1]) for i, j in edges))
+               for p in permutations(range(1, n + 1)))
+
+
+def keyed_dag_catalog(max_vertices: int) -> tuple:
+    """DAG classes on 1..max_vertices vertices, by permutation keying.
+
+    Visits the subsets of the upper-triangular pairs as bit masks in
+    increasing order, keys each by all n! relabellings and keeps the first
+    subset of every key.  This is the loop ``enumerate_dags`` ran before it
+    struck out each class's orbit of edge masks.
+    """
+    items = []
+    seen = set()
+    for n in range(1, max_vertices + 1):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+            key = (n, dag_class_key(n, edges))
+            if key not in seen:
+                seen.add(key)
+                items.append(Dag(n, edges))
+    return tuple(items)
+
+
 def count_dags_by_edge_subsets(n: int) -> int:
     """Isomorphism classes of DAGs on n vertices, by filtering edge subsets.
 
@@ -208,6 +239,5 @@ def count_dags_by_edge_subsets(n: int) -> int:
             continue
         if not _is_acyclic(n, edges):
             continue
-        seen.add(min(tuple(sorted((p[i - 1], p[j - 1]) for i, j in edges))
-                     for p in permutations(range(1, n + 1))))
+        seen.add(dag_class_key(n, edges))
     return len(seen)

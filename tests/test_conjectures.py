@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import count_dags_by_edge_subsets
+from conftest import count_dags_by_edge_subsets, dag_class_key, keyed_dag_catalog
+from kiselman import errors
 from kiselman.canonical import enumerate_kn
 from kiselman.conjectures import conjecture_sweep, enumerate_dags
 from kiselman.errors import ResourceGuardError
@@ -10,13 +11,17 @@ from kiselman.universal import build_universal_dag
 
 
 def test_catalog_counts():
-    catalog = enumerate_dags(4)
+    """Classes per vertex count: 1, 2, 6, 31, 302 (OEIS A003087)."""
     by_n = {}
-    for dag in catalog.items:
+    for dag in enumerate_dags(5).items:
         by_n[dag.n] = by_n.get(dag.n, 0) + 1
-    assert by_n == {1: 1, 2: 2, 3: 6, 4: 31}
+    assert by_n == {1: 1, 2: 2, 3: 6, 4: 31, 5: 302}
     assert len(enumerate_dags(1).items) == 1
     assert len(enumerate_dags(2).items) == 3
+
+
+def test_catalog_matches_the_permutation_keyed_oracle():
+    assert enumerate_dags(5).items == keyed_dag_catalog(5)
 
 
 def test_catalog_agrees_with_edge_subset_filtering():
@@ -29,18 +34,18 @@ def test_catalog_agrees_with_edge_subset_filtering():
 
 
 def test_catalog_items_are_pairwise_non_isomorphic():
-    import itertools
-
-    catalog = enumerate_dags(3)
     keys = set()
-    for dag in catalog.items:
-        best = min(
-            tuple(sorted((p[i - 1], p[j - 1]) for i, j in dag.edges))
-            for p in itertools.permutations(range(1, dag.n + 1))
-        )
-        key = (dag.n, best)
+    for dag in enumerate_dags(5).items:
+        key = (dag.n, dag_class_key(dag.n, dag.edges))
         assert key not in keys
         keys.add(key)
+
+
+def test_catalog_reaches_six_vertices_when_the_limit_allows(monkeypatch):
+    """5,984 classes on six vertices (OEIS A003087); the shipped limit is 5."""
+    monkeypatch.setattr(errors, "MAX_CATALOG_VERTICES", 6)
+    catalog = enumerate_dags(6)
+    assert sum(1 for dag in catalog.items if dag.n == 6) == 5984
 
 
 def test_catalog_guard():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -154,6 +155,20 @@ def test_five_vertex_path_agrees_between_algorithms():
     assert hk.size == size_b == 132
     assert frozenset(hk.representatives) == reps_b
     assert max(len(r) for r in hk.representatives) == 9
+
+
+def test_paths_and_edgeless_graphs_have_closed_form_counts():
+    """Closed forms for two families, n = 1..5.
+
+    The path on n vertices gives the Catalan monoid, of size C_(n+1) = 2, 5,
+    14, 42, 132; the edgeless graph gives the free commutative idempotent
+    monoid on n generators, of size 2^n.
+    """
+    for n in range(1, 6):
+        kn = enumerate_kn(n)
+        path = Dag(n, [(i, i + 1) for i in range(1, n)])
+        assert enumerate_hk(path, kn=kn).size == math.comb(2 * n + 2, n + 1) // (n + 2)
+        assert enumerate_hk(Dag(n, []), kn=kn).size == 2 ** n
 
 
 def test_closed_table_satisfies_every_relation_from_every_class():
