@@ -44,7 +44,7 @@ from collections.abc import Iterable, Iterator
 
 from .closure import froidure_pin
 from .errors import check_vertex_count
-from .words import STAR, Word, delete
+from .words import STAR, Word
 
 
 class StepKind(enum.Enum):
@@ -196,7 +196,7 @@ def canonical_form_restricted(w: Word, k: int) -> Word:
     """Canonical form of ``w`` after deleting every letter below ``k``."""
     if k < 1:
         raise ValueError("k is a 1-based letter index")
-    return canonical_form(delete(w, range(1, k)))
+    return extend_canonical(STAR, [x for x in w if x >= k])
 
 
 def multiply(u: Word, v: Word) -> Word:

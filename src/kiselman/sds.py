@@ -21,11 +21,15 @@ so evaluation of schedule words factors through the Hecke-Kiselman monoid
 of the graph; ``check_hk_relations`` verifies the relations as equalities
 of map tables.
 
-Evolution works directly on token tuples, so single trajectories never need
-the global state space.  The dynamics monoid enumerates the state space once
-(mixed-radix indexing, vertex 1 most significant) and interns map tables.
-Local tables are built column by column from per-vertex digit lists, and
-tables are composed by ``operator.itemgetter``, at C speed.
+Evolution works directly on tokens, so single trajectories never need the
+global state space.  Each vertex gets one argument getter when the system
+is built, which reads its out-neighbour tokens from a state as the key of
+its table; ``evolve`` rewrites one list in place with them, letter by
+letter, and ``local_apply`` uses the same getters.  The dynamics monoid
+enumerates the state space once (mixed-radix indexing, vertex 1 most
+significant) and interns map tables.  Local tables are built column by
+column from per-vertex digit lists, and tables are composed by
+``operator.itemgetter``, at C speed.
 
 The dynamics monoid is closed by the Froidure-Pin routine of ``closure``,
 the same one that enumerates K_n.  It runs on reversed schedule words: the
@@ -116,6 +120,20 @@ class Dag:
         return sorted(self.edges)
 
 
+def _argument_getter(out: tuple[int, ...]):
+    """The key of a vertex table read from a state: its out-neighbours' tokens.
+
+    ``itemgetter`` with a single index returns the item, not a 1-tuple, so
+    vertices with fewer than two out-neighbours get their own getter.
+    """
+    if not out:
+        return lambda state: ()
+    if len(out) == 1:
+        j = out[0] - 1
+        return lambda state: (state[j],)
+    return itemgetter(*[j - 1 for j in out])
+
+
 def compose_tables(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The table of ``a`` after ``b``: ``tuple(a[x] for x in b)``."""
     if len(b) == 1:
@@ -181,6 +199,7 @@ class UpdateSystem:
             {tok: p for p, tok in enumerate(states)} for states in self.state_sets
         )
         self._out = tuple(graph.out_neighbors(v) for v in range(1, n + 1))
+        self._args = tuple(_argument_getter(out) for out in self._out)
         self._validate_tables()
         self._local_tables: dict[int, tuple[int, ...]] = {}
 
@@ -215,14 +234,25 @@ class UpdateSystem:
     def local_apply(self, i: int, state: SystemState) -> SystemState:
         if not 1 <= i <= self.graph.n:
             raise ValueError(f"vertex {i} out of range")
-        args = tuple(state[j - 1] for j in self._out[i - 1])
-        new = self.vertex_functions[i - 1][args]
+        new = self.vertex_functions[i - 1][self._args[i - 1](state)]
         return state[:i - 1] + (new,) + state[i:]
 
     def evolve(self, w: Word, state: SystemState) -> SystemState:
+        """The state F_w(state): the letters of ``w`` apply right to left.
+
+        Every letter is range-checked before any is applied; the error
+        names the rightmost bad letter, the first that would act.
+        """
+        n = self.graph.n
+        if w and (min(w) < 1 or max(w) > n):
+            bad = next(i for i in reversed(w) if not 1 <= i <= n)
+            raise ValueError(f"vertex {bad} out of range")
+        fns = self.vertex_functions
+        args = self._args
+        out = list(state)
         for i in reversed(w):
-            state = self.local_apply(i, state)
-        return state
+            out[i - 1] = fns[i - 1][args[i - 1](out)]
+        return tuple(out)
 
     # -- enumerated state space ----------------------------------------
 

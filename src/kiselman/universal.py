@@ -198,9 +198,15 @@ def random_words(n: int, count: int, max_len: int, seed: int) -> Iterator[Word]:
 
 @dataclass
 class TheoremReport:
+    """``stats`` counts the work: ``steps``, the local maps applied (the
+    total length of the words evolved), and ``joins``, the fold joins made
+    (n - 1 per word that reaches the fold checks).  It holds no timings.
+    """
+
     n: int
     checked: int
     counterexamples: list[dict]
+    stats: dict[str, int]
 
     @property
     def ok(self) -> bool:
@@ -222,14 +228,14 @@ def verify_theorem(n: int, words: Iterable[Word],
     {1..k}-truncation of canonical_form(w).  The fold of (b) is the last
     partial fold, so the folds are computed once.  Only the first
     ``errors.MAX_COUNTEREXAMPLES`` failures are kept; ``checked`` counts
-    every word.
+    every word, and ``stats`` the local maps applied and the joins made.
     """
     usys = system if system is not None else build_universal(n)
     if usys.n != n:
         raise ValueError("system size does not match n")
     sysm = usys.system
     star = star_state(n)
-    checked = 0
+    checked = steps = reached = 0
     counterexamples: list[dict] = []
 
     def note(w, kind, **extra):
@@ -238,10 +244,12 @@ def verify_theorem(n: int, words: Iterable[Word],
 
     for w in words:
         checked += 1
+        steps += len(w)
         evolved = sysm.evolve(w, star)
         if evolved != predicted_state(w, n).components:
             note(w, "vertex-states")
             continue
+        reached += 1
         folds = [evolved[0]]
         for s in evolved[1:]:
             folds.append(join(s, folds[-1]))
@@ -253,7 +261,8 @@ def verify_theorem(n: int, words: Iterable[Word],
             if folds[k - 1] != truncate_set(canw, range(1, k + 1)):
                 note(w, "partial-fold", k=k)
                 break
-    return TheoremReport(n, checked, counterexamples)
+    stats = {"steps": steps, "joins": (n - 1) * reached}
+    return TheoremReport(n, checked, counterexamples, stats)
 
 
 @dataclass

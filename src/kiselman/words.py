@@ -61,10 +61,7 @@ def is_suffix(v: Word, w: Word) -> bool:
 
 def truncate(w: Word, a: int) -> Word:
     """Suffix of ``w`` starting at the leftmost ``a``; STAR if ``a`` is absent."""
-    try:
-        return w[w.index(a):]
-    except ValueError:
-        return STAR
+    return w[w.index(a):] if a in w else STAR
 
 
 def truncate_set(w: Word, letters: Iterable[int]) -> Word:

@@ -16,7 +16,7 @@ from kiselman.canonical import (
 )
 from kiselman.sds import Dag, UpdateSystem
 from kiselman.universal import fold_join
-from kiselman.words import STAR
+from kiselman.words import STAR, delete
 
 
 def words_over(n, max_size=10):
@@ -50,6 +50,26 @@ def is_canonical_all_spans(w) -> bool:
                 if not special:
                     return False
     return True
+
+
+def reference_truncate(w, a) -> tuple:
+    """Suffix of ``w`` from the leftmost ``a``, by catching ``index``'s error.
+
+    This is how ``truncate`` was written before it tested membership first.
+    """
+    try:
+        return w[w.index(a):]
+    except ValueError:
+        return STAR
+
+
+def reference_canonical_form_restricted(w, k) -> tuple:
+    """Canonical form of ``w`` with every letter below ``k`` deleted.
+
+    This is how ``canonical_form_restricted`` was written before it fed the
+    kept letters straight to ``extend_canonical``.
+    """
+    return canonical_form(delete(w, range(1, k)))
 
 
 def random_order_normal_form(w, rng: random.Random) -> tuple:

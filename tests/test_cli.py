@@ -201,6 +201,14 @@ def test_verify_theorem(capsys):
     assert code == 0 and blob["counterexamples"] == [] and blob["checked"] == 63
 
 
+def test_verify_theorem_json_reports_counts_and_no_times(capsys):
+    _, out, _ = run_cli(capsys, "verify-theorem", "--n", "2",
+                        "--exhaustive-len", "5", "--json")
+    # 2^k words of each length k <= 5, each reaching the fold with one join
+    assert json.loads(out)["stats"] == {"steps": sum(k * 2 ** k for k in range(6)),
+                                        "joins": 63}
+
+
 def test_verify_theorem_random_is_seed_reproducible(capsys):
     args = ("verify-theorem", "--n", "3", "--random", "50",
             "--max-len", "9", "--seed", "4", "--json")

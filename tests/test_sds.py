@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import reference_dynamics
 from kiselman import errors, sds
 from kiselman.canonical import enumerate_kn
+from kiselman.conjectures import enumerate_dags
 from kiselman.errors import ResourceGuardError
 from kiselman.sds import (
     Dag,
@@ -168,6 +169,40 @@ def test_token_and_index_local_maps_agree():
             table = sys.local_table(i)
             for s in sys.states():
                 assert sys.state_index(sys.local_apply(i, s)) == table[sys.state_index(s)]
+
+
+def test_token_and_table_evolutions_agree():
+    """``evolve`` on tokens and ``evolution_table`` on indices are one map.
+
+    The systems have vertices with no, one and several out-neighbours,
+    the three shapes of argument getter.
+    """
+    rng = random.Random(13)
+    systems = [random_update_system(dag, 3, seed)
+               for seed, dag in enumerate(enumerate_dags(4).items)]
+    systems += [build_universal(n).system for n in (1, 2, 3, 4)]
+    shapes = set()
+    for sys in systems:
+        n = sys.graph.n
+        shapes |= {min(len(sys.graph.out_neighbors(v)), 2) for v in range(1, n + 1)}
+        states = list(sys.states())
+        for _ in range(4):
+            w = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 12)))
+            table = sys.evolution_table(w)
+            for s in states:
+                assert sys.state_index(sys.evolve(w, s)) == table[sys.state_index(s)]
+    assert shapes == {0, 1, 2}
+
+
+def test_evolve_names_the_first_bad_letter_it_would_apply():
+    sys = build_universal(3).system
+    s = sys.initial_state()
+    with pytest.raises(ValueError, match=r"^vertex 0 out of range$"):
+        sys.evolve((1, 9, 0), s)
+    with pytest.raises(ValueError, match=r"^vertex 9 out of range$"):
+        sys.evolve((9, 2), s)
+    with pytest.raises(ValueError, match=r"^vertex 4 out of range$"):
+        sys.local_apply(4, s)
 
 
 def test_witness_words_reproduce_their_maps():

@@ -3,8 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import reference_build_universal_dag, random_word, words_over
-from kiselman.canonical import canonical_form, canonical_words, is_canonical
+from conftest import (
+    reference_build_universal_dag,
+    reference_canonical_form_restricted,
+    reference_truncate,
+    random_word,
+    words_over,
+)
+from kiselman.canonical import (
+    canonical_form,
+    canonical_form_restricted,
+    canonical_words,
+    is_canonical,
+)
 from kiselman.conjectures import enumerate_dags
 from kiselman.errors import ResourceGuardError
 from kiselman import errors, universal
@@ -30,7 +41,7 @@ from kiselman.universal import (
     verify_isomorphism,
     verify_theorem,
 )
-from kiselman.words import STAR, head, truncate_set
+from kiselman.words import STAR, head, truncate, truncate_set
 
 
 def test_fold_join_basics():
@@ -260,6 +271,44 @@ def test_theorem_verdicts_for_wrong_folds(monkeypatch):
     assert report.to_json()["counterexamples"] == [{"word": "abc", "kind": "partial-fold", "k": 2}]
 
 
+def test_theorem_stats_count_steps_and_joins():
+    """Every word applies one local map per letter; a word that reaches the
+    fold checks costs n - 1 joins, and one whose vertex states fail none."""
+    words = list(exhaustive_words(3, 3))
+    report = verify_theorem(3, words, system=build_universal(3))
+    assert report.stats == {"steps": sum(map(len, words)), "joins": 2 * len(words)}
+
+    good = build_universal(2).system
+    tables = [dict(t) for t in good.vertex_functions]
+    tables[0][((2,),)] = (1,)
+    broken = UpdateSystem(good.graph, good.state_sets, tables)
+    words = list(exhaustive_words(2, 4))
+    failing = sum(broken.evolve(w, star_state(2)) != predicted_state(w, 2).components
+                  for w in words)
+    report = verify_theorem(2, words, system=UniversalSystem(broken))
+    assert 0 < failing < len(words)
+    assert report.stats == {"steps": sum(map(len, words)), "joins": len(words) - failing}
+
+
+def _layer_words():
+    for n in (1, 2, 3, 4):
+        yield pytest.param(n, lambda n=n: exhaustive_words(n, 7), id=f"n{n}-exhaustive")
+    yield pytest.param(6, lambda: random_words(6, 2000, 40, seed=6), id="n6-random")
+
+
+@pytest.mark.parametrize("n, words", _layer_words())
+def test_word_layers_match_their_definitions(n, words):
+    """``truncate``, ``canonical_form_restricted`` and ``predicted_state``
+    against the definitions they had before they dropped their detours."""
+    for w in words():
+        for a in range(1, n + 2):  # n + 1 never occurs
+            assert truncate(w, a) == reference_truncate(w, a)
+            assert canonical_form_restricted(w, a) == reference_canonical_form_restricted(w, a)
+        assert predicted_state(w, n).components == tuple(
+            reference_canonical_form_restricted(reference_truncate(w, i), i)
+            for i in range(1, n + 1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(words_over(4, 10))
 def test_fold_up_to_the_head_already_recovers_the_canonical_form(u4, w):
@@ -350,5 +399,5 @@ def test_random_words_is_reproducible():
 def test_report_json_rendering():
     report = verify_theorem(2, exhaustive_words(2, 4))
     blob = report.to_json()
-    assert set(blob) == {"n", "checked", "counterexamples"}
+    assert set(blob) == {"n", "checked", "counterexamples", "stats"}
     assert blob["n"] == 2 and blob["checked"] == report.checked
