@@ -299,7 +299,7 @@ def _layer_words():
 @pytest.mark.parametrize("n, words", _layer_words())
 def test_word_layers_match_their_definitions(n, words):
     """``truncate``, ``canonical_form_restricted`` and ``predicted_state``
-    against the definitions they had before they dropped their detours."""
+    against the reference definitions of ``conftest``."""
     for w in words():
         for a in range(1, n + 2):  # n + 1 never occurs
             assert truncate(w, a) == reference_truncate(w, a)
