@@ -75,6 +75,21 @@ def test_apply_step_rejects_bad_sites():
         apply_step((1, 2, 1), StepSite(0, 2, StepKind.ADJACENT))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: canonical_form_restricted((1, 2), 0), "k is a 1-based letter index"),
+    (lambda: list(canonical_words(0, 3)), "alphabet size must be at least 1"),
+    (lambda: is_special((1, 2, 1), 2, 0), r"bad span \(2, 0\) for a word of length 3"),
+    (lambda: is_special((1, 2, 1), 0, 3), r"bad span \(0, 3\) for a word of length 3"),
+    (lambda: apply_step((1, 1), StepSite(0, 2, StepKind.ADJACENT)),
+     "out of range for length 2"),
+    (lambda: apply_step((1, 1), StepSite(-1, 1, StepKind.ADJACENT)),
+     "out of range for length 2"),
+])
+def test_boundary_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_find_step_examples():
     assert find_step((1, 2, 1)) == StepSite(0, 2, StepKind.ALL_LARGER)
     assert find_step((1, 1)) == StepSite(0, 1, StepKind.ADJACENT)

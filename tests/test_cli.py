@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kiselman import canonical, cli, sds
+from kiselman import canonical, cli, hecke, sds, universal
 from kiselman.cli import main
 
 
@@ -42,6 +42,10 @@ def test_letters_above_z_render_as_indices(capsys):
 def test_join(capsys):
     code, out, _ = run_cli(capsys, "join", "cbadc", "abdc")
     assert code == 0 and out.strip() == "cbabdc"
+    code, out, _ = run_cli(capsys, "join", "cbadc", "abdc", "--json", "--format", "indices")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "left": "3 2 1 4 3", "right": "1 2 4 3",
+                               "join": "3 2 1 2 4 3"}
 
 
 def test_mult(capsys):
@@ -76,6 +80,16 @@ def test_enum_hk(capsys, tmp_path):
     gfile.write_text(json.dumps({"n": 2, "edges": []}))
     code, out, _ = run_cli(capsys, "enum-hk", "--graph", str(gfile))
     assert code == 0 and out.strip() == "4"
+    code, out, _ = run_cli(capsys, "enum-hk", "--graph", str(gfile), "--list")
+    assert code == 0 and out.splitlines() == ["-", "a", "b", "ab"]
+
+
+def test_enum_hk_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(hecke, "kn_quotient_classes", lambda pres, kn=None: (0, frozenset()))
+    for json_flag in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "enum-hk", "--graph", "complete:3", *json_flag)
+        assert code == 1 and out == ""
+        assert err.startswith("verification failure: Todd-Coxeter found 18 classes")
 
 
 def test_enum_hk_json_stats_are_reproducible(capsys):
@@ -103,9 +117,8 @@ def test_enum_hk_refuses_large_graphs_before_building_them(capsys, monkeypatch, 
     assert code == 3 and "vertex guard: 1000000000 vertices exceed MAX_VERTICES=6" in err
 
 
-@pytest.fixture
-def system_file(tmp_path):
-    blob = {
+def _arrow_blob():
+    return {
         "graph": {"n": 2, "edges": [[1, 2]]},
         "states": [["0", "1", "2"], ["0", "1"]],
         "functions": [
@@ -114,8 +127,12 @@ def system_file(tmp_path):
             {"vertex": 2, "table": [{"args": [], "out": "1"}]},
         ],
     }
+
+
+@pytest.fixture
+def system_file(tmp_path):
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(blob))
+    path.write_text(json.dumps(_arrow_blob()))
     return str(path)
 
 
@@ -179,6 +196,10 @@ def test_dynamics(capsys, system_file):
     assert not any("second" in key for key in stats)
     code, again, _ = run_cli(capsys, "dynamics", "--system", system_file, "--json")
     assert again == out
+    code, out, _ = run_cli(capsys, "dynamics", "--system", system_file, "--json", "--list")
+    assert json.loads(out)["witnesses"] == ["-", "a", "b", "ba", "ab"]
+    code, out, _ = run_cli(capsys, "dynamics", "--system", system_file, "--list")
+    assert code == 0 and out.splitlines() == ["5", "-", "a", "b", "ba", "ab"]
     code, _, err = run_cli(capsys, "dynamics", "--system", system_file,
                            "--max-elements", "1")
     assert code == 3 and "dynamics monoid exceeds max_size=1" in err
@@ -192,6 +213,9 @@ def test_check_relations(capsys, system_file):
     code, out, _ = run_cli(capsys, "check-relations", "--system", system_file)
     assert code == 0
     assert "edge-triple (1, 2): ok" in out
+    code, out, _ = run_cli(capsys, "check-relations", "--system", system_file, "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "ok": True, "checked": 3, "failures": []}
 
 
 def test_verify_theorem(capsys):
@@ -199,6 +223,16 @@ def test_verify_theorem(capsys):
                            "--exhaustive-len", "5", "--json")
     blob = json.loads(out)
     assert code == 0 and blob["counterexamples"] == [] and blob["checked"] == 63
+    code, out, _ = run_cli(capsys, "verify-theorem", "--n", "2", "--exhaustive-len", "5")
+    assert code == 0 and out == "checked 63 words, 0 counterexamples\n"
+
+
+def test_verify_theorem_text_lists_counterexamples(capsys, monkeypatch):
+    monkeypatch.setattr(universal, "canonical_form", lambda w: (1,))
+    code, out, _ = run_cli(capsys, "verify-theorem", "--n", "2", "--exhaustive-len", "1")
+    assert code == 1
+    assert out.splitlines() == ["checked 3 words, 2 counterexamples",
+                                "  -: reconstruction", "  b: reconstruction"]
 
 
 def test_verify_theorem_json_reports_counts_and_no_times(capsys):
@@ -290,6 +324,13 @@ def test_conjecture_sweep(capsys, tmp_path):
     assert code == 0 and blob["matched"] == 3
     saved = json.loads(out_path.read_text())
     assert saved["schema"] == 1 and saved["matched"] == 3
+    code, out, _ = run_cli(capsys, "conjecture-sweep", "--max-vertices", "2")
+    assert code == 0 and out.splitlines() == [
+        "n=1 edges=[-] hk=2 dynamics=2 match",
+        "n=2 edges=[-] hk=4 dynamics=4 match",
+        "n=2 edges=[1->2] hk=5 dynamics=5 match",
+        "matched 3, mismatched 0, skipped 0",
+    ]
 
 
 @pytest.mark.parametrize("flag", [["--search-on-mismatch"], ["--seed", "1"]])

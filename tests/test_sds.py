@@ -419,6 +419,31 @@ def test_system_json_names_a_few_missing_tables():
         system_from_json(obj)
 
 
+def _one_vertex_blob(**fields):
+    blob = {"graph": {"n": 1, "edges": []}, "states": [["0"]],
+            "functions": [{"vertex": 1, "table": [{"args": [], "out": "0"}]}]}
+    return {**blob, **fields}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dag(-1, []), "vertex count must be non-negative"),
+    (lambda: UpdateSystem(Dag(1, []), [[]], [{(): 0}]), "vertex 1 has an empty state set"),
+    (lambda: random_update_system(Dag(2, []), 0, 3), "max_set_size must be at least 1"),
+    (lambda: system_from_json(_one_vertex_blob(functions=[{"vertex": 2, "table": []}])),
+     "function entry for unknown vertex 2"),
+    (lambda: system_from_json(_one_vertex_blob(functions=_one_vertex_blob()["functions"] * 2)),
+     "vertex 1 has two function tables"),
+    (lambda: system_from_json(_one_vertex_blob(functions=[
+        {"vertex": 1, "table": [{"args": [], "out": "0"}] * 2}])),
+     r"vertex 1 repeats arguments \(\)"),
+    (lambda: system_from_json({"graph": {"n": 1, "edges": []}, "functions": []}),
+     "bad system object: 'states'"),
+])
+def test_boundary_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_system_json_rejects_bad_tables(arrow_system):
     obj = system_to_json(arrow_system)
     obj["functions"][0]["table"].pop()

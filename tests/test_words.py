@@ -186,6 +186,8 @@ def test_format_word():
     assert format_word((3, 2, 1), "indices") == "3 2 1"
     with pytest.raises(ValueError):
         format_word((27,), "letters")
+    with pytest.raises(ValueError, match="unknown word style 'x'"):
+        format_word((1,), "x")
 
 
 @given(words_over(26, 12))
