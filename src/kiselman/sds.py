@@ -442,14 +442,36 @@ def dag_to_json(dag: Dag) -> dict:
     return {"n": dag.n, "edges": [list(e) for e in dag.sorted_edges()]}
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_list(value, field: str) -> list:
+    """``value`` if it is a JSON list; a string is refused, not split."""
+    if type(value) is not list:
+        raise ValueError(f"{field} must be a JSON list, got {value!r}")
+    return value
+
+
 def parse_graph(obj: dict) -> tuple[int, list[tuple[int, int]]]:
-    """The vertex count and edges of a graph object, before any graph is built."""
+    """The vertex count and edges of a graph object, before any graph is built.
+
+    The count and the edge ends must be JSON integers, and the edges JSON
+    lists, so nothing is truncated or split into tokens.
+    """
     try:
-        n = int(obj["n"])
-        edges = [(int(i), int(j)) for i, j in obj.get("edges", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, edges = obj["n"], obj.get("edges", [])
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"bad graph object: {exc}") from None
-    return n, edges
+    n = _json_int(n, '"n"')
+    for k, edge in enumerate(_json_list(edges, '"edges"'), start=1):
+        if type(edge) is not list or len(edge) != 2 or any(type(x) is not int for x in edge):
+            raise ValueError(
+                f'edge {k} of "edges" must be a JSON list of two integers, got {edge!r}')
+    return n, [(i, j) for i, j in edges]
 
 
 def dag_from_json(obj: dict) -> Dag:
@@ -481,17 +503,19 @@ def system_from_json(obj: dict) -> UpdateSystem:
     """
     try:
         n, edges = parse_graph(obj["graph"])
-        states = [[str(tok) for tok in row] for row in obj["states"]]
+        state_rows = _json_list(obj["states"], '"states"')
         raw_functions = list(obj["functions"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad system object: {exc}") from None
+    states = [[str(tok) for tok in _json_list(row, f'state row {k} of "states"')]
+              for k, row in enumerate(state_rows, start=1)]
     if n != len(states):
         raise ValueError(f"graph has {n} vertices but there are {len(states)} state rows")
     graph = Dag(n, edges)
     tables: list[dict | None] = [None] * n
     for entry in raw_functions:
         try:
-            v = int(entry["vertex"])
+            v = _json_int(entry["vertex"], '"vertex"')
             rows = list(entry["table"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad function entry: {exc}") from None
@@ -502,7 +526,8 @@ def system_from_json(obj: dict) -> UpdateSystem:
         table = {}
         for row in rows:
             try:
-                args = tuple(str(a) for a in row["args"])
+                args = tuple(str(a) for a in _json_list(
+                    row["args"], f'"args" of a table row for vertex {v}'))
                 out = str(row["out"])
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad table row for vertex {v}: {exc}") from None

@@ -136,6 +136,41 @@ def system_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("graph, message", [
+    ({"n": 2.9, "edges": [[1.7, 2]]}, '"n" must be a JSON integer, got 2.9'),
+    ({"n": True}, '"n" must be a JSON integer, got True'),
+    ({"n": "2"}, '"n" must be a JSON integer, got \'2\''),
+    ({"n": 2, "edges": [[1.7, 2]]}, 'edge 1 of "edges" must be a JSON list of two integers'),
+    ({"n": 2, "edges": [[1, 2], ["1", 2]]}, 'edge 2 of "edges" must be a JSON list of two integers'),
+    ({"n": 2, "edges": ["12"]}, 'edge 1 of "edges" must be a JSON list of two integers'),
+    ({"n": 2, "edges": "12"}, '"edges" must be a JSON list'),
+])
+def test_graph_files_take_only_json_integers(capsys, tmp_path, graph, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, "enum-hk", "--graph", str(path))
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b.update(states=["012", ["0", "1"]]), 'state row 1 of "states" must be a JSON list'),
+    (lambda b: b.update(states="01"), '"states" must be a JSON list'),
+    (lambda b: b["graph"].update(n=2.0), '"n" must be a JSON integer, got 2.0'),
+    (lambda b: b["functions"][0].update(vertex=1.9), '"vertex" must be a JSON integer, got 1.9'),
+    (lambda b: b["functions"][0].update(vertex="1"), '"vertex" must be a JSON integer, got \'1\''),
+    (lambda b: b["functions"][0].update(vertex=True), '"vertex" must be a JSON integer, got True'),
+    (lambda b: b["functions"][0]["table"][0].update(args="0"),
+     '"args" of a table row for vertex 1 must be a JSON list'),
+])
+def test_system_files_take_only_json_integers_and_lists(capsys, tmp_path, edit, message):
+    blob = _arrow_blob()
+    edit(blob)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "simulate", "--system", str(path), "--schedule", "1")
+    assert code == 2 and out == "" and message in err
+
+
 def test_simulate(capsys, system_file):
     code, out, _ = run_cli(capsys, "simulate", "--system", system_file,
                            "--schedule", "1 2", "--initial", "0,0")
