@@ -110,47 +110,36 @@ def _site_at(w: Word, left: int) -> StepSite | None:
     return None
 
 
-def find_step(w: Word) -> StepSite | None:
-    """Leftmost eligible site, or None iff ``w`` is canonical."""
+def _sites(w: Word) -> Iterator[StepSite]:
+    """The eligible sites of ``w``, by left endpoint."""
     for left in range(len(w) - 1):
         site = _site_at(w, left)
         if site is not None:
-            return site
-    return None
+            yield site
+
+
+def find_step(w: Word) -> StepSite | None:
+    """Leftmost eligible site, or None iff ``w`` is canonical."""
+    return next(_sites(w), None)
 
 
 def eligible_steps(w: Word) -> list[StepSite]:
     """All eligible sites of ``w``, by left endpoint."""
-    sites = []
-    for left in range(len(w) - 1):
-        site = _site_at(w, left)
-        if site is not None:
-            sites.append(site)
-    return sites
+    return list(_sites(w))
 
 
 def apply_step(w: Word, site: StepSite) -> Word:
-    """Drop one letter of the pair; the result lies in the same class."""
-    left, right, kind = site.left, site.right, site.kind
-    if not 0 <= left < right < len(w):
+    """Drop one letter of an eligible pair; the result lies in the same class.
+
+    ``site`` must be the eligible site that ``_site_at`` finds at its left
+    endpoint, kind included.
+    """
+    if not 0 <= site.left < site.right < len(w):
         raise ValueError(f"site {site} out of range for length {len(w)}")
-    a = w[left]
-    if w[right] != a:
-        raise ValueError("site endpoints carry different letters")
-    seg = w[left + 1:right]
-    if kind is StepKind.ADJACENT:
-        if right != left + 1:
-            raise ValueError("ADJACENT site with letters apart")
-        return w[:right] + w[right + 1:]
-    if kind is StepKind.ALL_LARGER:
-        if any(x <= a for x in seg):
-            raise ValueError("ALL_LARGER site with a non-larger letter between")
-        return w[:right] + w[right + 1:]
-    if kind is StepKind.ALL_SMALLER:
-        if any(x >= a for x in seg):
-            raise ValueError("ALL_SMALLER site with a non-smaller letter between")
-        return w[:left] + w[left + 1:]
-    raise ValueError(f"unknown step kind {kind!r}")
+    if site != _site_at(w, site.left):
+        raise ValueError(f"{site} is not an eligible site of {w}")
+    drop = site.left if site.kind is StepKind.ALL_SMALLER else site.right
+    return w[:drop] + w[drop + 1:]
 
 
 def canonical_form(w: Word) -> Word:
@@ -233,19 +222,18 @@ class KnMonoid:
     """K_n as its canonical words, with both Cayley graphs.
 
     ``canons`` lists the canonical words in shortlex order, so ``canons[0]``
-    is STAR, the identity; ``index`` maps a canonical word to its position,
-    and iterating the monoid yields the words.  ``right`` and ``left`` are
-    the Cayley graphs, as flat ``array('i')`` indexed ``u * n + a``:
-    ``right[u * n + a]`` is the index of ``canons[u]`` times the generator
-    ``a + 1``, and ``left[u * n + a]`` the index of that generator times
-    ``canons[u]``.  Products are read off these graphs, or computed by
-    ``multiply``.
+    is STAR, the identity, and iterating the monoid yields the words.
+    ``right`` and ``left`` are the Cayley graphs, as flat ``array('i')``
+    indexed ``u * n + a``: ``right[u * n + a]`` is the index of
+    ``canons[u]`` times the generator ``a + 1``, and ``left[u * n + a]``
+    the index of that generator times ``canons[u]``.  Elements are found
+    by following these graphs from STAR (``right[g - 1]`` is the generator
+    ``g``), and products are read off them, or computed by ``multiply``.
     """
 
     def __init__(self, n: int, canons: list[Word], right: array, left: array):
         self.n = n
         self.canons = tuple(canons)
-        self.index = {c: k for k, c in enumerate(self.canons)}
         self.right = right
         self.left = left
 

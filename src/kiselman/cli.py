@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification counterexample or failed relation,
 2 usage or parse error, 3 resource guard.  ``--json`` switches every command
 to a single JSON document (top-level ``"schema": 1``) on stdout; diagnostics
-go to stderr.
+go to stderr.  Each ``_cmd_*`` handler returns its exit code, its JSON
+payload and its text lines, and ``main`` prints one or the other.
 """
 
 from __future__ import annotations
@@ -58,74 +59,40 @@ def _load_system(path: str):
         return system_from_json(json.load(fh))
 
 
-def _cmd_canon(args) -> int:
+def _cmd_canon(args):
     w = parse_word(" ".join(args.word))
-    result = canonical_form(w)
-    if args.json:
-        _emit_json({"input": format_word(w, args.format),
-                    "canonical": format_word(result, args.format)})
-    else:
-        print(format_word(result, args.format))
-    return 0
+    result = format_word(canonical_form(w), args.format)
+    return 0, {"input": format_word(w, args.format), "canonical": result}, [result]
 
 
-def _cmd_mult(args) -> int:
+def _cmd_binary(args):
+    """``mult`` and ``join``: ``args.op`` of two words, reported under ``args.key``."""
     u, v = parse_word(args.left), parse_word(args.right)
-    result = multiply(u, v)
-    if args.json:
-        _emit_json({"left": format_word(u, args.format),
-                    "right": format_word(v, args.format),
-                    "product": format_word(result, args.format)})
-    else:
-        print(format_word(result, args.format))
-    return 0
+    result = format_word(args.op(u, v), args.format)
+    return 0, {"left": format_word(u, args.format), "right": format_word(v, args.format),
+               args.key: result}, [result]
 
 
-def _cmd_join(args) -> int:
-    u, v = parse_word(args.left), parse_word(args.right)
-    result = join(u, v)
-    if args.json:
-        _emit_json({"left": format_word(u, args.format),
-                    "right": format_word(v, args.format),
-                    "join": format_word(result, args.format)})
-    else:
-        print(format_word(result, args.format))
-    return 0
-
-
-def _cmd_enum_kn(args) -> int:
+def _cmd_enum_kn(args):
     monoid = enumerate_kn(args.n, max_elements=args.max_elements)
-    if args.json:
-        payload = {"n": args.n, "size": len(monoid)}
-        if args.list:
-            payload["elements"] = [format_word(c, args.format) for c in monoid]
-        _emit_json(payload)
-    elif args.list:
-        for c in monoid:
-            print(format_word(c, args.format))
-    else:
-        print(len(monoid))
-    return 0
+    payload = {"n": args.n, "size": len(monoid)}
+    lines = [len(monoid)]
+    if args.list:
+        payload["elements"] = lines = [format_word(c, args.format) for c in monoid]
+    return 0, payload, lines
 
 
-def _cmd_enum_hk(args) -> int:
+def _cmd_enum_hk(args):
     dag = _load_graph(args.graph)
     classes = enumerate_hk(dag, max_cosets=args.max_elements)
-    reps = sorted(classes.representatives_original(), key=lambda w: (len(w), w))
-    if args.json:
-        payload = {**dag_to_json(dag), "size": classes.size,
-                   "representatives": [format_word(r, args.format) for r in reps],
-                   "stats": classes.stats}
-        _emit_json(payload)
-    elif args.list:
-        for r in reps:
-            print(format_word(r, args.format))
-    else:
-        print(classes.size)
-    return 0
+    reps = [format_word(r, args.format)
+            for r in sorted(classes.representatives_original(), key=lambda w: (len(w), w))]
+    payload = {**dag_to_json(dag), "size": classes.size,
+               "representatives": reps, "stats": classes.stats}
+    return 0, payload, reps if args.list else [classes.size]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     system = _load_system(args.system)
     schedule = parse_word(args.schedule)
     if args.initial is not None:
@@ -139,98 +106,73 @@ def _cmd_simulate(args) -> int:
                 raise ValueError(f"initial token {tok!r} is not a state of vertex {v}")
     else:
         state = system.initial_state()
-    final = system.evolve(schedule, state)
-    if args.json:
-        _emit_json({"state": [str(tok) for tok in final]})
-    else:
-        print(",".join(str(tok) for tok in final))
-    return 0
+    final = [str(tok) for tok in system.evolve(schedule, state)]
+    return 0, {"state": final}, [",".join(final)]
 
 
-def _cmd_dynamics(args) -> int:
+def _cmd_dynamics(args):
     system = _load_system(args.system)
     monoid = system.dynamics_monoid(max_size=args.max_elements)
-    if args.json:
-        payload = {"state_count": system.state_count(), "size": monoid.size}
-        if args.list:
-            payload["witnesses"] = [
-                format_word(m.witness, args.format) for m in monoid
-            ]
-        payload["stats"] = monoid.stats
-        _emit_json(payload)
-    else:
-        print(monoid.size)
-        if args.list:
-            for m in monoid:
-                print(format_word(m.witness, args.format))
-    return 0
+    payload = {"state_count": system.state_count(), "size": monoid.size,
+               "stats": monoid.stats}
+    lines = [monoid.size]
+    if args.list:
+        payload["witnesses"] = [format_word(m.witness, args.format) for m in monoid]
+        lines += payload["witnesses"]
+    return 0, payload, lines
 
 
-def _cmd_check_relations(args) -> int:
-    system = _load_system(args.system)
-    report = check_hk_relations(system)
-    if args.json:
-        _emit_json({
-            "ok": report.ok,
-            "checked": len(report.checks),
-            "failures": [
-                {"kind": c.kind, "vertices": list(c.vertices)}
-                for c in report.failures()
-            ],
-        })
-    else:
-        for c in report.checks:
-            status = "ok" if c.ok else "FAIL"
-            print(f"{c.kind} {c.vertices}: {status}")
-    return 0 if report.ok else 1
+def _cmd_check_relations(args):
+    report = check_hk_relations(_load_system(args.system))
+    payload = {
+        "ok": report.ok,
+        "checked": len(report.checks),
+        "failures": [
+            {"kind": c.kind, "vertices": list(c.vertices)}
+            for c in report.failures()
+        ],
+    }
+    lines = [f"{c.kind} {c.vertices}: {'ok' if c.ok else 'FAIL'}" for c in report.checks]
+    return 0 if report.ok else 1, payload, lines
 
 
-def _cmd_verify_theorem(args) -> int:
+def _cmd_verify_theorem(args):
     if args.random is not None:
         words = random_words(args.n, args.random, args.max_len, args.seed)
     else:
         words = exhaustive_words(args.n, args.exhaustive_len)
     report = verify_theorem(args.n, words)
-    if args.json:
-        _emit_json(report.to_json(args.format))
-    else:
-        print(f"checked {report.checked} words, "
-              f"{len(report.counterexamples)} counterexamples")
-        for ce in report.counterexamples:
-            print(f"  {format_word(ce['word'], args.format)}: {ce['kind']}")
-    return 0 if report.ok else 1
+    lines = [f"checked {report.checked} words, "
+             f"{len(report.counterexamples)} counterexamples"]
+    lines += [f"  {format_word(ce['word'], args.format)}: {ce['kind']}"
+              for ce in report.counterexamples]
+    return 0 if report.ok else 1, report.to_json(args.format), lines
 
 
-def _cmd_verify_iso(args) -> int:
+def _cmd_verify_iso(args):
     report = verify_isomorphism(args.n)
-    if args.json:
-        _emit_json(asdict(report))
-    else:
-        print(f"|K_{args.n}| = {report.kn_size}, "
-              f"orbit of all-STAR: {report.orbit_size}, "
-              f"failed relations: {len(report.failures)}")
-        for f in report.failures:
-            print(f"  {f['kind']} {tuple(f['vertices'])}: FAIL")
-    return 0 if report.ok else 1
+    lines = [f"|K_{args.n}| = {report.kn_size}, "
+             f"orbit of all-STAR: {report.orbit_size}, "
+             f"failed relations: {len(report.failures)}"]
+    lines += [f"  {f['kind']} {tuple(f['vertices'])}: FAIL" for f in report.failures]
+    return 0 if report.ok else 1, asdict(report), lines
 
 
-def _cmd_conjecture_sweep(args) -> int:
+def _cmd_conjecture_sweep(args):
     report = conjecture_sweep(max_vertices=args.max_vertices)
     payload = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"schema": SCHEMA, **payload}, fh, sort_keys=True, indent=2)
-    if args.json:
-        _emit_json(payload)
-    else:
-        for row in report.rows:
-            mark = "skip" if row.skipped else ("match" if row.match else "MISMATCH")
-            edges = ",".join(f"{i}->{j}" for i, j in row.dag.sorted_edges()) or "-"
-            print(f"n={row.dag.n} edges=[{edges}] hk={row.hk_size} "
-                  f"dynamics={row.dynamics_size} {mark}")
-        print(f"matched {report.matched}, mismatched {report.mismatched}, "
-              f"skipped {report.skips}")
-    return 0 if report.ok else 1
+    lines = []
+    for row in report.rows:
+        mark = "skip" if row.skipped else ("match" if row.match else "MISMATCH")
+        edges = ",".join(f"{i}->{j}" for i, j in row.dag.sorted_edges()) or "-"
+        lines.append(f"n={row.dag.n} edges=[{edges}] hk={row.hk_size} "
+                     f"dynamics={row.dynamics_size} {mark}")
+    lines.append(f"matched {report.matched}, mismatched {report.mismatched}, "
+                 f"skipped {report.skips}")
+    return 0 if report.ok else 1, payload, lines
 
 
 def _positive_int(text: str) -> int:
@@ -271,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="product of two classes, as a canonical word")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_mult)
+    p.set_defaults(func=_cmd_binary, op=multiply, key="product")
 
     p = sub.add_parser("join", parents=[common],
                        help="shortest word with the left as quasi-subword, right as suffix")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_join)
+    p.set_defaults(func=_cmd_binary, op=join, key="join")
 
     p = sub.add_parser("enum-kn", parents=[common],
                        help="enumerate Kiselman's monoid K_n")
@@ -346,7 +288,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            _emit_json(payload)
+        else:
+            for line in lines:
+                print(line)
+        return code
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3

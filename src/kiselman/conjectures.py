@@ -38,7 +38,6 @@ from .universal import build_universal_dag
 
 @dataclass(frozen=True)
 class DagCatalog:
-    max_vertices: int
     items: tuple[Dag, ...]
 
 
@@ -94,7 +93,7 @@ def enumerate_dags(max_vertices: int) -> DagCatalog:
             for down, low_images, high_images in relabellings:
                 if not mask & down:
                     marked[low_images[low] | high_images[high]] = 1
-    return DagCatalog(max_vertices, tuple(items))
+    return DagCatalog(tuple(items))
 
 
 @dataclass

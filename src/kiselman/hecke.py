@@ -59,7 +59,6 @@ from .words import Word
 class HkPresentation:
     """A DAG relabelled topologically, so that i -> j implies i < j."""
 
-    original: Dag
     graph: Dag
     order: tuple[int, ...]  # order[k - 1] = original vertex with new label k
 
@@ -70,7 +69,7 @@ class HkPresentation:
         edges = [(newlabel[i], newlabel[j]) for i, j in dag.edges]
         relabeled = Dag(dag.n, edges)
         assert all(i < j for i, j in relabeled.edges)
-        return cls(dag, relabeled, tuple(topo))
+        return cls(relabeled, tuple(topo))
 
     def relabel_word(self, w: Word) -> Word:
         """Original vertex labels to internal topological labels."""
@@ -239,7 +238,7 @@ def kn_quotient_classes(pres: HkPresentation,
         kn = enumerate_kn(n)
     elif kn.n != n:
         raise ValueError(f"kn is K_{kn.n}, but the graph has {n} vertices")
-    right, left, index = kn.right, kn.left, kn.index
+    right, left = kn.right, kn.left
     parent = list(range(len(kn)))
 
     def find(a: int) -> int:
@@ -248,7 +247,9 @@ def kn_quotient_classes(pres: HkPresentation,
             a = parent[a]
         return a
 
-    pending = [(index[(i, j)], index[(j, i)]) for i, j in _non_adjacent_pairs(pres.graph)]
+    # right[g - 1] is the generator g, so right[right[i - 1] * n + j - 1] is a_i a_j
+    pending = [(right[right[i - 1] * n + j - 1], right[right[j - 1] * n + i - 1])
+               for i, j in _non_adjacent_pairs(pres.graph)]
     while pending:
         a, b = pending.pop()
         a, b = find(a), find(b)

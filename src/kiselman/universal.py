@@ -177,10 +177,9 @@ def predicted_state(w: Word, n: int) -> PredictedState:
     )
 
 
-def reconstruct_canonical(p: PredictedState | Sequence[Word]) -> Word:
+def reconstruct_canonical(p: Sequence[Word]) -> Word:
     """Fold the vertex states back into one word: [p_n, [..., [p_2, p_1]...]]."""
-    components = p.components if isinstance(p, PredictedState) else tuple(p)
-    return fold_join(components)
+    return fold_join(p)
 
 
 def exhaustive_words(n: int, max_len: int) -> Iterator[Word]:

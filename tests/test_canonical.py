@@ -315,7 +315,7 @@ def test_monoid_is_closed_under_multiplication():
     for a in monoid:
         for b in monoid:
             c = multiply(a, b)
-            assert c in monoid.index
+            assert c in monoid.canons
             assert c == canonical_form(a + b)
     assert monoid.canons[0] == STAR
     assert all(multiply(STAR, c) == c == multiply(c, STAR) for c in monoid)

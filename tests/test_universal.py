@@ -28,7 +28,6 @@ from kiselman.sds import (
     reachable_states,
 )
 from kiselman.universal import (
-    PredictedState,
     UniversalSystem,
     build_universal,
     build_universal_dag,
@@ -190,7 +189,7 @@ def test_predicted_state_invariants(w):
 
 
 def test_reconstruct_examples():
-    assert reconstruct_canonical(PredictedState(((1, 2), (2,)))) == (1, 2)
+    assert reconstruct_canonical(predicted_state((1, 2), 2).components) == (1, 2)
     assert reconstruct_canonical(((1,), (2,))) == (2, 1)
     assert reconstruct_canonical((STAR, STAR)) == STAR
 
