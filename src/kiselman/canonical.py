@@ -131,8 +131,8 @@ def eligible_steps(w: Word) -> list[StepSite]:
 def apply_step(w: Word, site: StepSite) -> Word:
     """Drop one letter of an eligible pair; the result lies in the same class.
 
-    ``site`` must be the eligible site that ``_site_at`` finds at its left
-    endpoint, kind included.
+    ``site`` must be the eligible site at its left endpoint, kind included,
+    as ``find_step`` and ``eligible_steps`` report it.
     """
     if not 0 <= site.left < site.right < len(w):
         raise ValueError(f"site {site} out of range for length {len(w)}")
