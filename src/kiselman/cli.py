@@ -124,23 +124,20 @@ def _cmd_dynamics(args):
 
 def _cmd_check_relations(args):
     report = check_hk_relations(_load_system(args.system))
-    payload = {
-        "ok": report.ok,
-        "checked": len(report.checks),
-        "failures": [
-            {"kind": c.kind, "vertices": list(c.vertices)}
-            for c in report.failures()
-        ],
-    }
+    payload = {"ok": report.ok, "checked": len(report.checks),
+               "failures": report.failures()}
     lines = [f"{c.kind} {c.vertices}: {'ok' if c.ok else 'FAIL'}" for c in report.checks]
     return 0 if report.ok else 1, payload, lines
 
 
 def _cmd_verify_theorem(args):
-    if args.random is not None:
-        words = random_words(args.n, args.random, args.max_len, args.seed)
+    if args.random is None:
+        if args.seed is not None:
+            raise ValueError("--seed needs --random; without it every word is checked")
+        words = exhaustive_words(args.n, 6 if args.max_len is None else args.max_len)
     else:
-        words = exhaustive_words(args.n, args.exhaustive_len)
+        max_len = 20 if args.max_len is None else args.max_len
+        words = random_words(args.n, args.random, max_len, args.seed or 0)
     report = verify_theorem(args.n, words)
     lines = [f"checked {report.checked} words, "
              f"{len(report.counterexamples)} counterexamples"]
@@ -175,18 +172,14 @@ def _cmd_conjecture_sweep(args):
     return 0 if report.ok else 1, payload, lines
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer no smaller than ``low``."""
+    def bounded_int(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return bounded_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate Kiselman's monoid K_n")
     p.add_argument("n", type=int)
     p.add_argument("--list", action="store_true", help="print the elements")
-    p.add_argument("--max-elements", type=_positive_int, default=None,
+    p.add_argument("--max-elements", type=_int_at_least(1), default=None,
                    help="element guard (default: none)")
     p.set_defaults(func=_cmd_enum_kn)
 
@@ -233,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the Hecke-Kiselman monoid of a DAG")
     p.add_argument("--graph", required=True, metavar="PATH|complete:N")
     p.add_argument("--list", action="store_true", help="print representatives")
-    p.add_argument("--max-elements", type=_positive_int, default=errors.MAX_COSETS,
+    p.add_argument("--max-elements", type=_int_at_least(1), default=errors.MAX_COSETS,
                    help="coset guard, max_cosets (default: %(default)s)")
     p.set_defaults(func=_cmd_enum_hk)
 
@@ -249,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the dynamics monoid of a system")
     p.add_argument("--system", required=True)
     p.add_argument("--list", action="store_true", help="print witness words")
-    p.add_argument("--max-elements", type=_positive_int, default=errors.MAX_ELEMENTS,
+    p.add_argument("--max-elements", type=_int_at_least(1), default=errors.MAX_ELEMENTS,
                    help="map guard, max_size (default: %(default)s)")
     p.set_defaults(func=_cmd_dynamics)
 
@@ -261,13 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-theorem", parents=[common],
                        help="check the universal system against canonical forms")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exhaustive-len", type=_non_negative_int, default=6,
-                   help="check all words up to this length")
-    p.add_argument("--random", type=_positive_int, default=None, metavar="COUNT",
-                   help="check random words instead")
-    p.add_argument("--max-len", type=_non_negative_int, default=20,
-                   help="length bound for random words")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for --random")
+    p.add_argument("--max-len", type=_int_at_least(0), default=None,
+                   help="longest word checked (default: 6, or 20 with --random)")
+    p.add_argument("--random", type=_int_at_least(1), default=None, metavar="COUNT",
+                   help="check COUNT random words instead of all words")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed for --random (default: 0)")
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("verify-iso", parents=[common],

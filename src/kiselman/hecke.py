@@ -61,6 +61,7 @@ class HkPresentation:
 
     graph: Dag
     order: tuple[int, ...]  # order[k - 1] = original vertex with new label k
+    _newlabel: dict = field(repr=False, compare=False)  # the inverse of order
 
     @classmethod
     def from_dag(cls, dag: Dag) -> "HkPresentation":
@@ -69,13 +70,12 @@ class HkPresentation:
         edges = [(newlabel[i], newlabel[j]) for i, j in dag.edges]
         relabeled = Dag(dag.n, edges)
         assert all(i < j for i, j in relabeled.edges)
-        return cls(relabeled, tuple(topo))
+        return cls(relabeled, tuple(topo), newlabel)
 
     def relabel_word(self, w: Word) -> Word:
         """Original vertex labels to internal topological labels."""
-        newlabel = {orig: k + 1 for k, orig in enumerate(self.order)}
         try:
-            return tuple(newlabel[x] for x in w)
+            return tuple(self._newlabel[x] for x in w)
         except KeyError as exc:
             raise ValueError(f"unknown vertex {exc.args[0]} in word") from None
 
@@ -220,11 +220,6 @@ def _todd_coxeter(graph: Dag, max_cosets: int
 # -- algorithm B: quotient of K_n by non-adjacent commutations ---------------
 
 
-def _non_adjacent_pairs(graph: Dag) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, graph.n + 1) for j in range(i + 1, graph.n + 1)
-            if not graph.adjacent(i, j)]
-
-
 def kn_quotient_classes(pres: HkPresentation,
                         kn: KnMonoid | None = None) -> tuple[int, frozenset]:
     """Class count and representative set of HK as a quotient of K_n.
@@ -249,7 +244,8 @@ def kn_quotient_classes(pres: HkPresentation,
 
     # right[g - 1] is the generator g, so right[right[i - 1] * n + j - 1] is a_i a_j
     pending = [(right[right[i - 1] * n + j - 1], right[right[j - 1] * n + i - 1])
-               for i, j in _non_adjacent_pairs(pres.graph)]
+               for i in range(1, n + 1) for j in range(i + 1, n + 1)
+               if not pres.graph.adjacent(i, j)]
     while pending:
         a, b = pending.pop()
         a, b = find(a), find(b)
@@ -312,6 +308,6 @@ def enumerate_hk(dag: Dag, start_length: int = 4, *,
         )
     stats = {"cosets_defined": cosets, "coincidences": coincidences,
              "classes": len(reps),
-             "b_seeded_pairs": len(_non_adjacent_pairs(pres.graph)),
+             "b_seeded_pairs": n * (n - 1) // 2 - len(pres.graph.edges),
              "b_merges": len(kn) - size_b}
     return HkClasses(pres, tuple(reps), tuple(action), len(reps), stats)

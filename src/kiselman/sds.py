@@ -63,21 +63,33 @@ SystemState = tuple
 
 @dataclass(frozen=True)
 class Dag:
-    """Directed acyclic graph on vertices 1..n, simple and loop-free."""
+    """Directed acyclic graph on vertices 1..n, simple and loop-free.
+
+    The count and the edge ends must be ints, not bools, floats or strings,
+    and each edge a tuple or list of two, so nothing is truncated or split.
+    """
 
     n: int
     edges: frozenset
 
     def __init__(self, n: int, edges):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset((int(i), int(j)) for i, j in edges))
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        for i, j in self.edges:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        pairs = set()
+        for edge in edges:
+            if (type(edge) not in (tuple, list) or len(edge) != 2
+                    or any(type(x) is not int for x in edge)):
+                raise ValueError(f"edge {edge!r} is not a pair of int vertices")
+            i, j = edge
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i}, {j}) leaves the vertex range 1..{n}")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
+            pairs.add((i, j))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(pairs))
         out: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
         for i, j in self.edges:
             out[i].append(j)
@@ -189,15 +201,15 @@ class UpdateSystem:
             raise ValueError("need one state set and one table per vertex")
         self.graph = graph
         self.state_sets = tuple(tuple(s) for s in state_sets)
-        for v, states in enumerate(self.state_sets, start=1):
-            if not states:
-                raise ValueError(f"vertex {v} has an empty state set")
-            if len(set(states)) != len(states):
-                raise ValueError(f"vertex {v} lists a state twice")
-        self.vertex_functions = tuple(dict(t) for t in vertex_functions)
         self._token_pos = tuple(
             {tok: p for p, tok in enumerate(states)} for states in self.state_sets
         )
+        for v, (states, pos) in enumerate(zip(self.state_sets, self._token_pos), start=1):
+            if not states:
+                raise ValueError(f"vertex {v} has an empty state set")
+            if len(pos) != len(states):
+                raise ValueError(f"vertex {v} lists a state twice")
+        self.vertex_functions = tuple(dict(t) for t in vertex_functions)
         self._out = tuple(graph.out_neighbors(v) for v in range(1, n + 1))
         self._args = tuple(_argument_getter(out) for out in self._out)
         self._validate_tables()
@@ -218,8 +230,8 @@ class UpdateSystem:
                 raise ValueError(
                     f"table of vertex {v} is not total over its out-neighbour states"
                 )
-            own = set(self.state_sets[v - 1])
-            if not own.issuperset(table.values()):
+            own = self._token_pos[v - 1]
+            if not all(map(own.__contains__, table.values())):
                 for args, res in table.items():
                     if res not in own:
                         raise ValueError(
@@ -384,8 +396,10 @@ class RelationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> list[RelationCheck]:
-        return [c for c in self.checks if not c.ok]
+    def failures(self) -> list[dict]:
+        """The failed checks as ``{"kind", "vertices"}`` rows, for JSON reports."""
+        return [{"kind": c.kind, "vertices": list(c.vertices)}
+                for c in self.checks if not c.ok]
 
 
 def check_hk_relations(sys: UpdateSystem, graph: Dag | None = None) -> RelationReport:
@@ -407,7 +421,7 @@ def check_hk_relations(sys: UpdateSystem, graph: Dag | None = None) -> RelationR
     for i, j in graph.sorted_edges():
         ij = compose_tables(t[i], t[j])
         iji = compose_tables(ij, t[i])
-        jij = compose_tables(t[j], compose_tables(t[i], t[j]))
+        jij = compose_tables(t[j], ij)
         checks.append(RelationCheck("edge-triple", (i, j), iji == ij and jij == ij))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -456,22 +470,17 @@ def _json_list(value, field: str) -> list:
     return value
 
 
-def parse_graph(obj: dict) -> tuple[int, list[tuple[int, int]]]:
-    """The vertex count and edges of a graph object, before any graph is built.
+def parse_graph(obj: dict) -> tuple[int, list]:
+    """The vertex count and edge list of a graph object, before any graph is built.
 
-    The count and the edge ends must be JSON integers, and the edges JSON
-    lists, so nothing is truncated or split into tokens.
+    The count must be a JSON integer, so that the vertex guard can run
+    first, and the edges a JSON list; ``Dag`` checks each edge.
     """
     try:
         n, edges = obj["n"], obj.get("edges", [])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad graph object: {exc}") from None
-    n = _json_int(n, '"n"')
-    for k, edge in enumerate(_json_list(edges, '"edges"'), start=1):
-        if type(edge) is not list or len(edge) != 2 or any(type(x) is not int for x in edge):
-            raise ValueError(
-                f'edge {k} of "edges" must be a JSON list of two integers, got {edge!r}')
-    return n, [(i, j) for i, j in edges]
+    return _json_int(n, '"n"'), _json_list(edges, '"edges"')
 
 
 def dag_from_json(obj: dict) -> Dag:
@@ -504,7 +513,7 @@ def system_from_json(obj: dict) -> UpdateSystem:
     try:
         n, edges = parse_graph(obj["graph"])
         state_rows = _json_list(obj["states"], '"states"')
-        raw_functions = list(obj["functions"])
+        raw_functions = _json_list(obj["functions"], '"functions"')
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad system object: {exc}") from None
     states = [[str(tok) for tok in _json_list(row, f'state row {k} of "states"')]
@@ -516,7 +525,7 @@ def system_from_json(obj: dict) -> UpdateSystem:
     for entry in raw_functions:
         try:
             v = _json_int(entry["vertex"], '"vertex"')
-            rows = list(entry["table"])
+            rows = _json_list(entry["table"], f'"table" of vertex {v}')
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad function entry: {exc}") from None
         if not 1 <= v <= n:

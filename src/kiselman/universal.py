@@ -301,6 +301,4 @@ def verify_isomorphism(n: int) -> IsoReport:
     system = build_universal(n).system
     relations = check_hk_relations(system, complete_dag(n))
     orbit = reachable_states(system, system.initial_state())
-    failures = [{"kind": c.kind, "vertices": list(c.vertices)}
-                for c in relations.failures()]
-    return IsoReport(n, len(enumerate_kn(n)), len(orbit), failures)
+    return IsoReport(n, len(enumerate_kn(n)), len(orbit), relations.failures())

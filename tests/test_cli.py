@@ -140,9 +140,9 @@ def system_file(tmp_path):
     ({"n": 2.9, "edges": [[1.7, 2]]}, '"n" must be a JSON integer, got 2.9'),
     ({"n": True}, '"n" must be a JSON integer, got True'),
     ({"n": "2"}, '"n" must be a JSON integer, got \'2\''),
-    ({"n": 2, "edges": [[1.7, 2]]}, 'edge 1 of "edges" must be a JSON list of two integers'),
-    ({"n": 2, "edges": [[1, 2], ["1", 2]]}, 'edge 2 of "edges" must be a JSON list of two integers'),
-    ({"n": 2, "edges": ["12"]}, 'edge 1 of "edges" must be a JSON list of two integers'),
+    ({"n": 2, "edges": [[1.7, 2]]}, "edge [1.7, 2] is not a pair of int vertices"),
+    ({"n": 2, "edges": [[1, 2], ["1", 2]]}, "edge ['1', 2] is not a pair of int vertices"),
+    ({"n": 2, "edges": ["12"]}, "edge '12' is not a pair of int vertices"),
     ({"n": 2, "edges": "12"}, '"edges" must be a JSON list'),
 ])
 def test_graph_files_take_only_json_integers(capsys, tmp_path, graph, message):
@@ -161,6 +161,8 @@ def test_graph_files_take_only_json_integers(capsys, tmp_path, graph, message):
     (lambda b: b["functions"][0].update(vertex=True), '"vertex" must be a JSON integer, got True'),
     (lambda b: b["functions"][0]["table"][0].update(args="0"),
      '"args" of a table row for vertex 1 must be a JSON list'),
+    (lambda b: b.update(functions={"vertex": 1}), '"functions" must be a JSON list'),
+    (lambda b: b["functions"][0].update(table="xy"), '"table" of vertex 1 must be a JSON list'),
 ])
 def test_system_files_take_only_json_integers_and_lists(capsys, tmp_path, edit, message):
     blob = _arrow_blob()
@@ -255,16 +257,31 @@ def test_check_relations(capsys, system_file):
 
 def test_verify_theorem(capsys):
     code, out, _ = run_cli(capsys, "verify-theorem", "--n", "2",
-                           "--exhaustive-len", "5", "--json")
+                           "--max-len", "5", "--json")
     blob = json.loads(out)
     assert code == 0 and blob["counterexamples"] == [] and blob["checked"] == 63
-    code, out, _ = run_cli(capsys, "verify-theorem", "--n", "2", "--exhaustive-len", "5")
+    code, out, _ = run_cli(capsys, "verify-theorem", "--n", "2", "--max-len", "5")
     assert code == 0 and out == "checked 63 words, 0 counterexamples\n"
+    # without --max-len: every word of length <= 6
+    code, out, _ = run_cli(capsys, "verify-theorem", "--n", "1")
+    assert code == 0 and out == "checked 7 words, 0 counterexamples\n"
+
+
+def test_verify_theorem_takes_one_length_flag_and_seeds_only_random_words(capsys):
+    code, out, err = run_cli(capsys, "verify-theorem", "--n", "3", "--seed", "4")
+    assert code == 2 and out == "" and "--seed needs --random" in err
+    code, out, err = run_cli(capsys, "verify-theorem", "--n", "3", "--max-len", "2",
+                             "--random", "5", "--seed", "1", "--json")
+    assert code == 0 and json.loads(out)["checked"] == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorem", "--n", "3", "--exhaustive-len", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exhaustive-len 2" in capsys.readouterr().err
 
 
 def test_verify_theorem_text_lists_counterexamples(capsys, monkeypatch):
     monkeypatch.setattr(universal, "canonical_form", lambda w: (1,))
-    code, out, _ = run_cli(capsys, "verify-theorem", "--n", "2", "--exhaustive-len", "1")
+    code, out, _ = run_cli(capsys, "verify-theorem", "--n", "2", "--max-len", "1")
     assert code == 1
     assert out.splitlines() == ["checked 3 words, 2 counterexamples",
                                 "  -: reconstruction", "  b: reconstruction"]
@@ -272,7 +289,7 @@ def test_verify_theorem_text_lists_counterexamples(capsys, monkeypatch):
 
 def test_verify_theorem_json_reports_counts_and_no_times(capsys):
     _, out, _ = run_cli(capsys, "verify-theorem", "--n", "2",
-                        "--exhaustive-len", "5", "--json")
+                        "--max-len", "5", "--json")
     # 2^k words of each length k <= 5, each reaching the fold with one join
     assert json.loads(out)["stats"] == {"steps": sum(k * 2 ** k for k in range(6)),
                                         "joins": 63}
@@ -287,7 +304,7 @@ def test_verify_theorem_random_is_seed_reproducible(capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--exhaustive-len", "-1"], "argument --exhaustive-len: must be at least 0, got -1"),
+    (["--max-len", "-1"], "argument --max-len: must be at least 0, got -1"),
     (["--random", "-3"], "argument --random: must be at least 1, got -3"),
     (["--random", "0"], "argument --random: must be at least 1, got 0"),
     (["--random", "5", "--max-len", "-1"], "argument --max-len: must be at least 0, got -1"),

@@ -11,6 +11,8 @@ from kiselman.conjectures import enumerate_dags
 from kiselman.errors import ResourceGuardError
 from kiselman.sds import (
     Dag,
+    RelationCheck,
+    RelationReport,
     UpdateSystem,
     check_hk_relations,
     complete_dag,
@@ -41,6 +43,21 @@ def test_dag_validation():
         Dag(3, [(1, 2), (2, 3), (3, 1)])
     with pytest.raises(ValueError):
         Dag(2, [(1, 3)])
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (2.9, [], "vertex count must be an int, got 2.9"),
+    (True, [], "vertex count must be an int, got True"),
+    (2, [(1.7, 2)], r"edge \(1.7, 2\) is not a pair of int vertices"),
+    (2, [(True, 2)], r"edge \(True, 2\) is not a pair of int vertices"),
+    (2, [("1", 2)], r"edge \('1', 2\) is not a pair of int vertices"),
+    (2, [(1, 2, 3)], r"edge \(1, 2, 3\) is not a pair of int vertices"),
+    (2, [1], "edge 1 is not a pair of int vertices"),
+])
+def test_dag_takes_only_int_counts_and_pairs_of_ints(n, edges, message):
+    """The Python graph refuses what the JSON boundary refuses, naming it."""
+    with pytest.raises(ValueError, match=message):
+        Dag(n, edges)
 
 
 def test_dag_structure():
@@ -225,6 +242,31 @@ def test_relations_commute_without_edges():
     report = check_hk_relations(sys)
     assert report.ok
     assert any(c.kind == "commute" for c in report.checks)
+
+
+@pytest.mark.parametrize("graph, count", [
+    (complete_dag(3), 3 + 3 * 3),                     # Gamma_3: no non-adjacent pair
+    (Dag(4, [(1, 2), (2, 3)]), 4 + 3 * 2 + 2 * 4),    # 4 of the 6 pairs are non-adjacent
+])
+def test_relations_compose_each_product_once(monkeypatch, graph, count):
+    """One composition per idempotent, 3 per edge (ij, iji, jij), 2 per non-adjacent pair."""
+    sys = random_update_system(graph, 2, 1)
+    for g in range(1, graph.n + 1):
+        sys.local_table(g)  # built and cached outside the count
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return compose_tables(a, b)
+    monkeypatch.setattr(sds, "compose_tables", counted)
+    assert check_hk_relations(sys).ok
+    assert len(calls) == count
+
+
+def test_relation_failures_are_json_rows():
+    report = RelationReport((RelationCheck("idempotent", (1,), True),
+                             RelationCheck("commute", (1, 3), False)))
+    assert report.failures() == [{"kind": "commute", "vertices": [1, 3]}]
 
 
 def test_relations_on_random_systems():
