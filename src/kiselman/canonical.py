@@ -204,10 +204,12 @@ def canonical_words(n: int, max_len: int) -> Iterator[Word]:
     canonical, so each length is generated from the one before: extend
     every canonical word by every letter and keep what ``is_canonical``
     accepts.  This filter is independent of the closure in
-    ``enumerate_kn``; the two must agree on every finite slice.
+    ``enumerate_kn``; the two must agree on every finite slice.  The same
+    vertex guard refuses n above ``errors.MAX_VERTICES``.
     """
     if n < 1:
         raise ValueError("alphabet size must be at least 1")
+    check_vertex_count(n)
     level: list[Word] = [STAR]
     for length in range(max_len + 1):
         if not level:
@@ -248,7 +250,7 @@ class KnMonoid:
         return len(self.canons[-1])  # the listing is shortlex
 
 
-def enumerate_kn(n: int, max_elements: int | None = None) -> KnMonoid:
+def enumerate_kn(n: int) -> KnMonoid:
     """Enumerate K_n by closing {STAR} under right products with generators.
 
     The closure is the Froidure-Pin routine of ``closure``, shared with the
@@ -262,15 +264,14 @@ def enumerate_kn(n: int, max_elements: int | None = None) -> KnMonoid:
 
     K_n is finite, so the closure terminates.  It is the Hecke-Kiselman
     monoid of the complete graph on n vertices, so the vertex guard refuses
-    n above ``errors.MAX_VERTICES`` before the closure starts;
-    ``max_elements`` optionally caps the number of elements.
+    n above ``errors.MAX_VERTICES`` before the closure starts; the closure
+    itself refuses more than ``errors.MAX_ELEMENTS`` elements, naming K_n.
     """
     if n < 1:
         raise ValueError("alphabet size must be at least 1")
     check_vertex_count(n)
     canons, _, _, _, right, left = froidure_pin(
-        STAR, [(g,) for g in range(1, n + 1)], extend_canonical, max_elements,
-        f"K_{n} enumeration exceeds max_elements={max_elements} (--max-elements)",
+        STAR, [(g,) for g in range(1, n + 1)], extend_canonical, f"K_{n}",
     )  # the links are freed before KnMonoid is built
     right = array("i", right)
     left = array("i", left)

@@ -16,7 +16,6 @@ from dataclasses import asdict
 
 from .canonical import canonical_form, enumerate_kn, multiply
 from .conjectures import conjecture_sweep
-from . import errors
 from .errors import HkDisagreementError, ResourceGuardError, check_vertex_count
 from .hecke import enumerate_hk
 from .sds import (
@@ -74,7 +73,7 @@ def _cmd_binary(args):
 
 
 def _cmd_enum_kn(args):
-    monoid = enumerate_kn(args.n, max_elements=args.max_elements)
+    monoid = enumerate_kn(args.n)
     payload = {"n": args.n, "size": len(monoid)}
     lines = [len(monoid)]
     if args.list:
@@ -84,7 +83,7 @@ def _cmd_enum_kn(args):
 
 def _cmd_enum_hk(args):
     dag = _load_graph(args.graph)
-    classes = enumerate_hk(dag, max_cosets=args.max_elements)
+    classes = enumerate_hk(dag)
     reps = [format_word(r, args.format)
             for r in sorted(classes.representatives_original(), key=lambda w: (len(w), w))]
     payload = {**dag_to_json(dag), "size": classes.size,
@@ -112,7 +111,7 @@ def _cmd_simulate(args):
 
 def _cmd_dynamics(args):
     system = _load_system(args.system)
-    monoid = system.dynamics_monoid(max_size=args.max_elements)
+    monoid = system.dynamics_monoid()
     payload = {"state_count": system.state_count(), "size": monoid.size,
                "stats": monoid.stats}
     lines = [monoid.size]
@@ -218,16 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate Kiselman's monoid K_n")
     p.add_argument("n", type=int)
     p.add_argument("--list", action="store_true", help="print the elements")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=None,
-                   help="element guard (default: none)")
     p.set_defaults(func=_cmd_enum_kn)
 
     p = sub.add_parser("enum-hk", parents=[common],
                        help="enumerate the Hecke-Kiselman monoid of a DAG")
     p.add_argument("--graph", required=True, metavar="PATH|complete:N")
     p.add_argument("--list", action="store_true", help="print representatives")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=errors.MAX_COSETS,
-                   help="coset guard, max_cosets (default: %(default)s)")
     p.set_defaults(func=_cmd_enum_hk)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -242,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the dynamics monoid of a system")
     p.add_argument("--system", required=True)
     p.add_argument("--list", action="store_true", help="print witness words")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=errors.MAX_ELEMENTS,
-                   help="map guard, max_size (default: %(default)s)")
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("check-relations", parents=[common],

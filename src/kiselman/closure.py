@@ -21,21 +21,21 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Sequence
 
+from . import errors
 from .errors import ResourceGuardError
 
 
 def froidure_pin(identity: Hashable, generators: Sequence[Hashable],
-                 multiply: Callable[[Hashable, Hashable], Hashable],
-                 max_size: int | None = None, overflow: str = ""
+                 multiply: Callable[[Hashable, Hashable], Hashable], name: str
                  ) -> tuple[list, list[int], list[int], int, list[int], list[int]]:
     """Close ``identity`` under right products with ``generators``.
 
     ``multiply(x, g)`` is the product of element ``x`` with generator
     value ``g``; elements are compared by equality and hashing.  The
     identity times a generator is the generator itself, so that product is
-    never computed.  ``max_size`` caps the number of elements: a
-    ``ResourceGuardError`` carrying ``overflow`` is raised before the
-    element that would exceed it is added.
+    never computed.  The monoid may have at most ``errors.MAX_ELEMENTS``
+    elements: ``"<name> exceeds MAX_ELEMENTS=<value>"`` is raised as a
+    ``ResourceGuardError`` before the element that would exceed it is added.
 
     Returns ``(elements, prefix, last, compositions, right, left)``.
     ``elements[0]`` is the identity, and the rest follow in shortlex order
@@ -53,10 +53,11 @@ def froidure_pin(identity: Hashable, generators: Sequence[Hashable],
     first, suffix, prefix, last = [-1], [-1], [-1], [-1]
     right: list[int] = []
     reduced = bytearray()
+    limit = errors.MAX_ELEMENTS
 
     def add(x, b, s, p, a) -> int:
-        if max_size is not None and len(elements) >= max_size:
-            raise ResourceGuardError(overflow)
+        if len(elements) >= limit:
+            raise ResourceGuardError(f"{name} exceeds MAX_ELEMENTS={limit}")
         v = len(elements)
         index[x] = v
         elements.append(x)

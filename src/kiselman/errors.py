@@ -6,8 +6,8 @@ A limit is read when its guard runs, so a test can lower it with monkeypatch.
 MAX_VERTICES = 6  # the K_n alphabet, HK graphs and command-line graphs
 MAX_STATES = 10 ** 6  # the enumerated state space of an update system
 MAX_PRODUCT = 10 ** 6  # rows of one vertex table in build_universal_dag
-MAX_COSETS = 2_000_000  # default max_cosets of enumerate_hk
-MAX_ELEMENTS = 10 ** 6  # default max_size of dynamics_monoid
+MAX_COSETS = 2_000_000  # cosets of one Todd-Coxeter run in enumerate_hk
+MAX_ELEMENTS = 10 ** 6  # elements of one Froidure-Pin closure: K_n, dynamics monoids
 MAX_CATALOG_VERTICES = 5  # the largest graphs of the sweep; enumerate_dags checks it
 MAX_COUNTEREXAMPLES = 20  # counterexamples that verify_theorem keeps
 

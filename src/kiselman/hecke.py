@@ -135,14 +135,16 @@ def _relations(graph: Dag) -> list[tuple[Word, Word]]:
     return rels
 
 
-def _todd_coxeter(graph: Dag, max_cosets: int
-                  ) -> tuple[list[Word], list[tuple[int, ...]], int, int]:
+def _todd_coxeter(graph: Dag) -> tuple[list[Word], list[tuple[int, ...]], int, int]:
     """Shortlex-least representatives and right action of the closed table.
 
-    Also returns the number of cosets defined and of coincidences.
+    Also returns the number of cosets defined and of coincidences.  At most
+    ``errors.MAX_COSETS`` cosets are defined; the guard fires before the
+    coset that would exceed it.
     """
     n = graph.n
     relations = _relations(graph)
+    limit = errors.MAX_COSETS
     table = [[-1] * n]  # table[c][g] = c * (g + 1), or -1 while undefined
     parent = [0]  # union-find over cosets; a class's root is its least coset
 
@@ -158,12 +160,9 @@ def _todd_coxeter(graph: Dag, max_cosets: int
             c = row[g]
             if c < 0:
                 c = len(table)
-                if c >= max_cosets:
-                    raise ResourceGuardError(
-                        f"Todd-Coxeter coset guard: {c} cosets defined reach "
-                        f"the limit; raise max_cosets={max_cosets} (--max-elements) "
-                        "to go further"
-                    )
+                if c >= limit:
+                    raise ResourceGuardError(f"Todd-Coxeter coset guard: {c} cosets "
+                                             f"defined reach MAX_COSETS={limit}")
                 table.append([-1] * n)
                 parent.append(c)
                 row[g] = c
@@ -226,7 +225,7 @@ def kn_quotient_classes(pres: HkPresentation,
 
     ``kn`` is a prebuilt K_n on the graph's vertex count, so that callers
     looping over many graphs build it once; without it, K_n is enumerated
-    here, under the vertex guard of ``enumerate_kn``.
+    here, under the vertex and element guards of ``enumerate_kn``.
     """
     n = pres.graph.n
     if kn is None:
@@ -266,18 +265,17 @@ def kn_quotient_classes(pres: HkPresentation,
 
 
 def enumerate_hk(dag: Dag, start_length: int = 4, *,
-                 kn: KnMonoid | None = None,
-                 max_cosets: int | None = None) -> HkClasses:
+                 kn: KnMonoid | None = None) -> HkClasses:
     """Enumerate HK of a DAG; Todd-Coxeter and algorithm B must agree.
 
     ``kn`` is a prebuilt K_n for algorithm B, on the graph's vertex count
     (``ValueError`` otherwise); without it, K_n is enumerated here.
 
     Raises ``ResourceGuardError`` when the graph has more than
-    ``errors.MAX_VERTICES`` vertices, or when the coset table or B's K_n
-    would need more than ``max_cosets`` cosets or elements (by default
-    ``errors.MAX_COSETS``; the complete graph on six vertices defines
-    629,803 cosets, and |K_6| = 83,973), and
+    ``errors.MAX_VERTICES`` vertices, when the coset table would need more
+    than ``errors.MAX_COSETS`` cosets (the complete graph on six vertices
+    defines 629,803), or when B's K_n would need more than
+    ``errors.MAX_ELEMENTS`` elements (|K_6| = 83,973), and
     ``HkDisagreementError`` when the two enumerations differ.
     """
     # perfbench reads this default through inspect.signature for hecke.words_ranked.
@@ -289,17 +287,10 @@ def enumerate_hk(dag: Dag, start_length: int = 4, *,
     if n < 1:
         raise ValueError("need at least one vertex")
     check_vertex_count(n)
-    max_cosets = errors.MAX_COSETS if max_cosets is None else max_cosets
 
-    reps, action, cosets, coincidences = _todd_coxeter(pres.graph, max_cosets)
+    reps, action, cosets, coincidences = _todd_coxeter(pres.graph)
     if kn is None:
-        try:
-            kn = enumerate_kn(n, max_elements=max_cosets)
-        except ResourceGuardError:
-            raise ResourceGuardError(
-                f"K_{n} for algorithm B has more than {max_cosets} elements; "
-                f"raise max_cosets={max_cosets} (--max-elements) to go further"
-            ) from None
+        kn = enumerate_kn(n)
     size_b, reps_b = kn_quotient_classes(pres, kn)
     if len(reps) != size_b or frozenset(reps) != reps_b:
         raise HkDisagreementError(

@@ -53,7 +53,6 @@ from collections.abc import Hashable, Iterator, Mapping, Sequence
 from operator import add, itemgetter, sub
 
 from .closure import froidure_pin
-from . import errors
 from .errors import check_state_count
 from .words import Word
 
@@ -192,7 +191,11 @@ class DynamicsMonoid:
 
 
 class UpdateSystem:
-    """A graph with per-vertex finite state sets and total function tables."""
+    """A graph with per-vertex finite state sets and total function tables.
+
+    The system owns the table mappings it is given: it checks them and
+    keeps them without a copy, so they must not change afterwards.
+    """
 
     def __init__(self, graph: Dag, state_sets: Sequence[Sequence[Token]],
                  vertex_functions: Sequence[Mapping[tuple, Token]]):
@@ -209,7 +212,7 @@ class UpdateSystem:
                 raise ValueError(f"vertex {v} has an empty state set")
             if len(pos) != len(states):
                 raise ValueError(f"vertex {v} lists a state twice")
-        self.vertex_functions = tuple(dict(t) for t in vertex_functions)
+        self.vertex_functions = tuple(vertex_functions)
         self._out = tuple(graph.out_neighbors(v) for v in range(1, n + 1))
         self._args = tuple(_argument_getter(out) for out in self._out)
         self._validate_tables()
@@ -336,22 +339,21 @@ class UpdateSystem:
             table = compose_tables(table, self.local_table(i))
         return table
 
-    def dynamics_monoid(self, max_size: int | None = None) -> DynamicsMonoid:
+    def dynamics_monoid(self) -> DynamicsMonoid:
         """Close the identity under left composition with every local map.
 
         The Froidure-Pin routine of ``closure`` composes a table only where
         a new map can appear.  Maps come out in breadth-first order, each
         with a shortest witnessing schedule word, least in shortlex order
-        when read backwards.  ``max_size`` caps the number of maps,
-        ``errors.MAX_ELEMENTS`` if None; the state guard runs in ``local_table``.
+        when read backwards.  The state guard runs in ``local_table``, and
+        the closure's element guard, ``errors.MAX_ELEMENTS``, caps the maps.
         """
-        max_size = errors.MAX_ELEMENTS if max_size is None else max_size
         n = self.graph.n
         gens = [self.local_table(g) for g in range(1, n + 1)]
         count = self.state_count()
         tables, prefix, last, compositions, _, _ = froidure_pin(
-            tuple(range(count)), gens, lambda m, g: compose_tables(g, m), max_size,
-            f"dynamics monoid exceeds max_size={max_size} (--max-elements)",
+            tuple(range(count)), gens, lambda m, g: compose_tables(g, m),
+            "dynamics monoid",
         )
         witnesses = [()]
         for p, a in zip(prefix[1:], last[1:]):
@@ -406,12 +408,16 @@ def check_hk_relations(sys: UpdateSystem, graph: Dag | None = None) -> RelationR
     """Verify idempotence, the edge triple, and non-adjacent commutation.
 
     The relations are those of ``graph``, the system's own graph if None,
-    evaluated on the system's local maps.  On its own graph a failing entry
-    signals an implementation bug: the relations hold for every update
-    system on an acyclic graph.
+    evaluated on the system's local maps; ``graph`` must have the system's
+    vertex count (``ValueError`` otherwise).  On its own graph a failing
+    entry signals an implementation bug: the relations hold for every
+    update system on an acyclic graph.
     """
     graph = sys.graph if graph is None else graph
     n = graph.n
+    if n != sys.graph.n:
+        raise ValueError(f"the graph has {n} vertices, "
+                         f"but the system has {sys.graph.n}")
     t = {g: sys.local_table(g) for g in range(1, n + 1)}
 
     checks = []

@@ -247,12 +247,19 @@ def test_enumerate_kn_guards(monkeypatch):
     with pytest.raises(ResourceGuardError,
                        match="vertex guard: 8 vertices exceed MAX_VERTICES=6"):
         enumerate_kn(8)
+    # canonical_words, the independent enumeration, has the same guard
     with pytest.raises(ResourceGuardError,
-                       match="K_4 enumeration exceeds max_elements=20"):
-        enumerate_kn(4, max_elements=20)
-    assert len(enumerate_kn(4, max_elements=115)) == 115
-    with pytest.raises(ResourceGuardError, match="max_elements=114"):
-        enumerate_kn(4, max_elements=114)
+                       match="^vertex guard: 7 vertices exceed MAX_VERTICES=6$"):
+        next(canonical_words(7, 3))
+    assert next(canonical_words(6, 3)) == STAR
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 20)
+    with pytest.raises(ResourceGuardError, match="^K_4 exceeds MAX_ELEMENTS=20$"):
+        enumerate_kn(4)
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 115)
+    assert len(enumerate_kn(4)) == 115
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 114)
+    with pytest.raises(ResourceGuardError, match="^K_4 exceeds MAX_ELEMENTS=114$"):
+        enumerate_kn(4)
     with pytest.raises(ValueError):
         enumerate_kn(0)
     monkeypatch.setattr(errors, "MAX_VERTICES", 2)

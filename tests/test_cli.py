@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kiselman import canonical, cli, hecke, sds, universal
+from kiselman import canonical, cli, errors, hecke, sds, universal
 from kiselman.cli import main
 
 
@@ -223,7 +223,7 @@ def test_malformed_table_rows_exit_2(capsys, tmp_path, row):
         assert code == 2 and "bad table row for vertex 1" in err
 
 
-def test_dynamics(capsys, system_file):
+def test_dynamics(capsys, system_file, monkeypatch):
     code, out, _ = run_cli(capsys, "dynamics", "--system", system_file, "--json")
     blob = json.loads(out)
     assert blob["size"] == 5 and blob["state_count"] == 6
@@ -237,13 +237,9 @@ def test_dynamics(capsys, system_file):
     assert json.loads(out)["witnesses"] == ["-", "a", "b", "ba", "ab"]
     code, out, _ = run_cli(capsys, "dynamics", "--system", system_file, "--list")
     assert code == 0 and out.splitlines() == ["5", "-", "a", "b", "ba", "ab"]
-    code, _, err = run_cli(capsys, "dynamics", "--system", system_file,
-                           "--max-elements", "1")
-    assert code == 3 and "dynamics monoid exceeds max_size=1" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["dynamics", "--system", system_file, "--max-elements", "0"])
-    assert exc.value.code == 2
-    assert "at least 1" in capsys.readouterr().err
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 1)
+    code, _, err = run_cli(capsys, "dynamics", "--system", system_file)
+    assert code == 3 and "dynamics monoid exceeds MAX_ELEMENTS=1" in err
 
 
 def test_check_relations(capsys, system_file):
@@ -328,13 +324,17 @@ def test_verify_iso(capsys):
     assert out.strip() == "|K_3| = 18, orbit of all-STAR: 18, failed relations: 0"
 
 
-def test_max_elements_reaches_the_guard_of_each_command(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, "enum-hk", "--graph", "complete:5",
-                           "--max-elements", "10")
-    assert code == 3 and "max_cosets=10" in err
-    code, _, err = run_cli(capsys, "enum-kn", "3", "--max-elements", "17")
-    assert code == 3 and "max_elements=17" in err
-    for argv in (["canon", "a", "--max-elements", "5"],
+def test_size_constants_reach_the_guard_of_each_command(capsys, monkeypatch, system_file):
+    monkeypatch.setattr(errors, "MAX_COSETS", 10)
+    code, _, err = run_cli(capsys, "enum-hk", "--graph", "complete:5")
+    assert code == 3 and "reach MAX_COSETS=10" in err
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 17)
+    code, _, err = run_cli(capsys, "enum-kn", "3")
+    assert code == 3 and "K_3 exceeds MAX_ELEMENTS=17" in err
+    for argv in (["enum-kn", "3", "--max-elements", "5"],
+                 ["enum-hk", "--graph", "complete:3", "--max-elements", "5"],
+                 ["dynamics", "--system", system_file, "--max-elements", "5"],
+                 ["canon", "a", "--max-elements", "5"],
                  ["verify-theorem", "--n", "2", "--max-elements", "5"],
                  ["verify-iso", "--n", "3", "--max-elements", "2"],
                  ["verify-iso", "--n", "2", "--pairs", "5"]):
@@ -383,6 +383,18 @@ def test_conjecture_sweep(capsys, tmp_path):
         "n=2 edges=[1->2] hk=5 dynamics=5 match",
         "matched 3, mismatched 0, skipped 0",
     ]
+
+
+def test_conjecture_sweep_json_is_reproducible_but_for_seconds(capsys):
+    runs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "conjecture-sweep", "--max-vertices", "3", "--json")
+        blob = json.loads(out)
+        assert code == 0 and len(blob["rows"]) == 9
+        for row in blob["rows"]:
+            assert isinstance(row.pop("seconds"), float)
+        runs.append(blob)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("flag", [["--search-on-mismatch"], ["--seed", "1"]])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import reference_closure
+from kiselman import errors
 from kiselman.closure import froidure_pin
 from kiselman.errors import ResourceGuardError
 
@@ -32,7 +33,7 @@ def test_froidure_pin_matches_the_reference_on_transformation_monoids():
         if trial % 4 == 0:
             gens.insert(rng.randrange(len(gens) + 1), identity)
         elements, prefix, last, compositions, right, left = froidure_pin(
-            identity, gens, _then)
+            identity, gens, _then, "T")
         reference = reference_closure(identity, gens, _then)
         assert elements == [x for x, _ in reference]
         assert [_word(prefix, last, u) for u in range(len(reference))] == [
@@ -47,8 +48,10 @@ def test_froidure_pin_matches_the_reference_on_transformation_monoids():
                 assert left[u * n + a] == index[_then(g, x)]
 
 
-def test_froidure_pin_guard_fires_before_the_element_that_exceeds_it():
+def test_froidure_pin_guard_fires_before_the_element_that_exceeds_it(monkeypatch):
     cycle = (1, 2, 3, 0)
-    assert len(froidure_pin((0, 1, 2, 3), [cycle], _then, max_size=4)[0]) == 4
-    with pytest.raises(ResourceGuardError, match="^too big$"):
-        froidure_pin((0, 1, 2, 3), [cycle], _then, max_size=3, overflow="too big")
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 4)
+    assert len(froidure_pin((0, 1, 2, 3), [cycle], _then, "C_4")[0]) == 4
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 3)
+    with pytest.raises(ResourceGuardError, match="^C_4 exceeds MAX_ELEMENTS=3$"):
+        froidure_pin((0, 1, 2, 3), [cycle], _then, "C_4")

@@ -62,7 +62,7 @@ def test_sweep_rows_past_the_coset_guard_are_skipped(monkeypatch):
     report = conjecture_sweep(3)
     skipped = [r for r in report.rows if r.skipped is not None]
     assert len(report.rows) == 9 and len(skipped) == 7
-    assert all("max_cosets=10" in r.skipped for r in skipped)
+    assert all("reach MAX_COSETS=10" in r.skipped for r in skipped)
     assert all(r.hk_size is None and r.match is None for r in skipped)
     assert report.matched == 2 and report.mismatched == 0 and report.ok
     assert report.to_json()["skipped"] == 7

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from conftest import random_word, reference_kn_quotient
+from kiselman import errors
 from kiselman.canonical import canonical_form, enumerate_kn
 from kiselman.errors import ResourceGuardError
 from kiselman.hecke import (
@@ -210,22 +211,26 @@ def test_representatives_are_least_in_their_class():
         assert (len(rep), rep) <= (len(c), c)
 
 
-def test_guards():
+def test_guards(monkeypatch):
     with pytest.raises(ResourceGuardError, match="7 vertices exceed MAX_VERTICES=6"):
         enumerate_hk(Dag(7, []))
-    with pytest.raises(ResourceGuardError, match="max_cosets=50"):
-        enumerate_hk(Dag(4, [(1, 2)]), max_cosets=50)
+    monkeypatch.setattr(errors, "MAX_COSETS", 81)  # the cosets this graph defines
+    assert enumerate_hk(Dag(4, [(1, 2)])).stats["cosets_defined"] == 81
+    monkeypatch.setattr(errors, "MAX_COSETS", 80)
+    with pytest.raises(ResourceGuardError,
+                       match="^Todd-Coxeter coset guard: 80 cosets defined reach "
+                             "MAX_COSETS=80$"):
+        enumerate_hk(Dag(4, [(1, 2)]))
     with pytest.raises(ValueError, match="start_length=5 is retired"):
         enumerate_hk(Dag(4, [(1, 2)]), start_length=5)
     with pytest.raises(ValueError):
         enumerate_hk(Dag(0, []))
 
 
-def test_algorithm_b_runs_under_the_coset_guard():
-    # Todd-Coxeter closes at 64 classes under this cap; K_6 overflows it
+def test_algorithm_b_runs_under_the_element_guard(monkeypatch):
+    # Todd-Coxeter closes at 64 classes; B's K_6 overflows this cap
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 1000)
     started = time.perf_counter()
-    with pytest.raises(ResourceGuardError,
-                       match="K_6 for algorithm B has more than 1000 elements; "
-                             "raise max_cosets=1000"):
-        enumerate_hk(Dag(6, []), max_cosets=1000)
+    with pytest.raises(ResourceGuardError, match="^K_6 exceeds MAX_ELEMENTS=1000$"):
+        enumerate_hk(Dag(6, []))
     assert time.perf_counter() - started < 1.0

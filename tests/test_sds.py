@@ -237,6 +237,15 @@ def test_relations_on_the_arrow_system(arrow_system):
     assert kinds == {"idempotent", "edge-triple"}
 
 
+def test_relations_need_a_graph_on_the_systems_vertices():
+    system = build_universal(3).system
+    for graph, n in ((complete_dag(2), 2), (complete_dag(4), 4)):
+        with pytest.raises(ValueError,
+                           match=f"^the graph has {n} vertices, but the system has 3$"):
+            check_hk_relations(system, graph)
+    assert check_hk_relations(system, complete_dag(3)).ok
+
+
 def test_relations_commute_without_edges():
     sys = random_update_system(Dag(2, []), 3, 5)
     report = check_hk_relations(sys)
@@ -341,11 +350,16 @@ def test_dynamics_guards(arrow_system, monkeypatch):
         arrow_system.evolution_table((1,))
     monkeypatch.setattr(errors, "MAX_STATES", 6)
     assert len(arrow_system.evolution_table((1,))) == 6
-    with pytest.raises(ResourceGuardError, match="dynamics monoid exceeds max_size=2"):
-        arrow_system.dynamics_monoid(max_size=2)
-    assert arrow_system.dynamics_monoid(max_size=5).size == 5
-    with pytest.raises(ResourceGuardError, match="max_size=4"):
-        arrow_system.dynamics_monoid(max_size=4)
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 2)
+    with pytest.raises(ResourceGuardError,
+                       match="^dynamics monoid exceeds MAX_ELEMENTS=2$"):
+        arrow_system.dynamics_monoid()
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 5)
+    assert arrow_system.dynamics_monoid().size == 5
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 4)
+    with pytest.raises(ResourceGuardError,
+                       match="^dynamics monoid exceeds MAX_ELEMENTS=4$"):
+        arrow_system.dynamics_monoid()
 
 
 def test_state_guard_holds_for_cached_local_tables(monkeypatch):
