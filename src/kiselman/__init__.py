@@ -2,19 +2,14 @@
 
 from .canonical import (
     KnMonoid,
-    StepKind,
-    StepSite,
-    apply_step,
     canonical_form,
     canonical_form_restricted,
     canonical_words,
-    eligible_steps,
     enumerate_kn,
     extend_canonical,
-    find_step,
     is_canonical,
-    is_special,
     multiply,
+    simplifications,
 )
 from .conjectures import (
     DagCatalog,

@@ -16,7 +16,8 @@ dropping one of two equal letters:
 
 Any order of application reaches the same normal form (Kudryavtseva and
 Mazorchuk, "On Kiselman's semigroup", 2009), so ``canonical_form`` may pick
-the order that is cheapest, and randomised orders are used as a test oracle.
+the order that is cheapest.  ``simplifications`` yields every word one step
+away, so that randomised orders can serve as a test oracle.
 
 Canonicity only needs to be checked on consecutive occurrences of each
 letter: between two non-consecutive equal letters there is a whole
@@ -37,9 +38,7 @@ linear in the length of the word, with a constant that depends on n alone.
 
 from __future__ import annotations
 
-import enum
 from array import array
-from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
 from .closure import froidure_pin
@@ -47,99 +46,39 @@ from .errors import check_vertex_count
 from .words import STAR, Word
 
 
-class StepKind(enum.Enum):
-    ADJACENT = 1
-    ALL_LARGER = 2
-    ALL_SMALLER = 3
+def _dropped(w: Word, left: int) -> int | None:
+    """Position of the letter a step at ``w[left]`` drops, or None.
 
-
-@dataclass(frozen=True)
-class StepSite:
-    """A pair of equal letters at 0-based positions ``left < right``."""
-
-    left: int
-    right: int
-    kind: StepKind
-
-
-def is_special(w: Word, left: int, right: int) -> bool:
-    """Is the factor ``w[left..right]`` (equal endpoints) special?"""
-    if not 0 <= left < right < len(w):
-        raise ValueError(f"bad span ({left}, {right}) for a word of length {len(w)}")
-    a = w[left]
-    if w[right] != a:
-        raise ValueError("span endpoints carry different letters")
-    seg = w[left + 1:right]
-    return any(x > a for x in seg) and any(x < a for x in seg)
-
-
-def is_canonical(w: Word) -> bool:
-    n = len(w)
-    for left in range(n - 1):
-        a = w[left]
-        try:
-            right = w.index(a, left + 1)
-        except ValueError:
-            continue
-        if right == left + 1:
-            return False
-        seg = w[left + 1:right]
-        if min(seg) > a or max(seg) < a:
-            return False
-    return True
-
-
-def _site_at(w: Word, left: int) -> StepSite | None:
-    """Eligible site whose left endpoint is ``left``, if any.
-
-    Only the consecutive occurrence pair can be eligible: a repeated letter
-    inside the gap is neither larger nor smaller than itself.
+    Only the next occurrence of ``w[left]`` can pair with it: a repeated
+    letter inside the gap is neither larger nor smaller than itself.
     """
     a = w[left]
     try:
         right = w.index(a, left + 1)
     except ValueError:
         return None
-    if right == left + 1:
-        return StepSite(left, right, StepKind.ADJACENT)
     seg = w[left + 1:right]
-    if min(seg) > a:
-        return StepSite(left, right, StepKind.ALL_LARGER)
+    if not seg or min(seg) > a:
+        return right  # ADJACENT or ALL_LARGER
     if max(seg) < a:
-        return StepSite(left, right, StepKind.ALL_SMALLER)
-    return None
+        return left  # ALL_SMALLER
+    return None  # the factor is special
 
 
-def _sites(w: Word) -> Iterator[StepSite]:
-    """The eligible sites of ``w``, by left endpoint."""
-    for left in range(len(w) - 1):
-        site = _site_at(w, left)
-        if site is not None:
-            yield site
+def is_canonical(w: Word) -> bool:
+    return all(_dropped(w, left) is None for left in range(len(w) - 1))
 
 
-def find_step(w: Word) -> StepSite | None:
-    """Leftmost eligible site, or None iff ``w`` is canonical."""
-    return next(_sites(w), None)
+def simplifications(w: Word) -> Iterator[Word]:
+    """Every word one simplifying step from ``w``, by left end of the pair.
 
-
-def eligible_steps(w: Word) -> list[StepSite]:
-    """All eligible sites of ``w``, by left endpoint."""
-    return list(_sites(w))
-
-
-def apply_step(w: Word, site: StepSite) -> Word:
-    """Drop one letter of an eligible pair; the result lies in the same class.
-
-    ``site`` must be the eligible site at its left endpoint, kind included,
-    as ``find_step`` and ``eligible_steps`` report it.
+    Yields nothing exactly when ``w`` is canonical.  Each result lies in the
+    class of ``w`` and is one letter shorter.
     """
-    if not 0 <= site.left < site.right < len(w):
-        raise ValueError(f"site {site} out of range for length {len(w)}")
-    if site != _site_at(w, site.left):
-        raise ValueError(f"{site} is not an eligible site of {w}")
-    drop = site.left if site.kind is StepKind.ALL_SMALLER else site.right
-    return w[:drop] + w[drop + 1:]
+    for left in range(len(w) - 1):
+        drop = _dropped(w, left)
+        if drop is not None:
+            yield w[:drop] + w[drop + 1:]
 
 
 def canonical_form(w: Word) -> Word:

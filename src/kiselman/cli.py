@@ -156,10 +156,6 @@ def _cmd_verify_iso(args):
 
 def _cmd_conjecture_sweep(args):
     report = conjecture_sweep(max_vertices=args.max_vertices)
-    payload = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA, **payload}, fh, sort_keys=True, indent=2)
     lines = []
     for row in report.rows:
         mark = "skip" if row.skipped else ("match" if row.match else "MISMATCH")
@@ -168,7 +164,7 @@ def _cmd_conjecture_sweep(args):
                      f"dynamics={row.dynamics_size} {mark}")
     lines.append(f"matched {report.matched}, mismatched {report.mismatched}, "
                  f"skipped {report.skips}")
-    return 0 if report.ok else 1, payload, lines
+    return 0 if report.ok else 1, report.to_json(), lines
 
 
 def _int_at_least(low: int):
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture-sweep", parents=[common],
                        help="compare HK size with join-based dynamics on small DAGs")
     p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=_cmd_conjecture_sweep)
 
     return parser

@@ -159,17 +159,24 @@ def conjecture_sweep(max_vertices: int = 4) -> SweepReport:
 
     Guard overruns become per-row skips, never silent drops.  K_n, which
     algorithm B of ``enumerate_hk`` starts from, is built once per vertex
-    count.
+    count; if its guard refuses it, every row of that count is skipped
+    with the guard's message.
     """
     catalog = enumerate_dags(max_vertices)
     report = SweepReport(max_vertices)
-    kn = None
+    kn_n, kn = None, None
     for dag in catalog.items:
-        if kn is None or kn.n != dag.n:
-            kn = enumerate_kn(dag.n)  # shared by the rows, so timed by none
+        if kn_n != dag.n:
+            kn_n = dag.n
+            try:
+                kn = enumerate_kn(dag.n)  # shared by the rows, so timed by none
+            except ResourceGuardError as exc:
+                kn = exc
         row = SweepRow(dag)
         started = time.perf_counter()
         try:
+            if isinstance(kn, ResourceGuardError):
+                raise kn
             hk = enumerate_hk(dag, kn=kn)
             system = build_universal_dag(dag)
             relations = check_hk_relations(system)

@@ -25,7 +25,7 @@ Evolution works directly on tokens, so single trajectories never need the
 global state space.  Each vertex gets one argument getter when the system
 is built, which reads its out-neighbour tokens from a state as the key of
 its table; ``evolve`` rewrites one list in place with them, letter by
-letter, and ``local_apply`` uses the same getters.  The dynamics monoid
+letter, and a one-letter word is a single local map.  The dynamics monoid
 enumerates the state space once (mixed-radix indexing, vertex 1 most
 significant) and interns map tables.  Local tables are built column by
 column from per-vertex digit lists, and tables are composed by
@@ -246,12 +246,6 @@ class UpdateSystem:
     def initial_state(self) -> SystemState:
         return tuple(states[0] for states in self.state_sets)
 
-    def local_apply(self, i: int, state: SystemState) -> SystemState:
-        if not 1 <= i <= self.graph.n:
-            raise ValueError(f"vertex {i} out of range")
-        new = self.vertex_functions[i - 1][self._args[i - 1](state)]
-        return state[:i - 1] + (new,) + state[i:]
-
     def evolve(self, w: Word, state: SystemState) -> SystemState:
         """The state F_w(state): the letters of ``w`` apply right to left.
 
@@ -372,7 +366,7 @@ def reachable_states(sys: UpdateSystem, initial: SystemState) -> set[SystemState
         fresh = []
         for s in frontier:
             for i in range(1, sys.graph.n + 1):
-                t = sys.local_apply(i, s)
+                t = sys.evolve((i,), s)
                 if t not in seen:
                     seen.add(t)
                     fresh.append(t)

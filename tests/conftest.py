@@ -7,12 +7,10 @@ from itertools import combinations, permutations, product
 from hypothesis import strategies as st
 
 from kiselman.canonical import (
-    apply_step,
     canonical_form,
-    eligible_steps,
     enumerate_kn,
     extend_canonical,
-    find_step,
+    simplifications,
 )
 from kiselman.sds import Dag, UpdateSystem
 from kiselman.universal import fold_join
@@ -73,21 +71,21 @@ def reference_canonical_form_restricted(w, k) -> tuple:
 
 
 def random_order_normal_form(w, rng: random.Random) -> tuple:
-    """Apply eligible simplifying steps in random order until none remain."""
+    """Apply simplifying steps in random order until none remain."""
     while True:
-        sites = eligible_steps(w)
-        if not sites:
+        steps = list(simplifications(w))
+        if not steps:
             return w
-        w = apply_step(w, rng.choice(sites))
+        w = rng.choice(steps)
 
 
 def leftmost_normal_form(w) -> tuple:
-    """Apply the leftmost eligible simplifying step until none remains."""
+    """Apply the leftmost simplifying step until none remains."""
     while True:
-        site = find_step(w)
-        if site is None:
+        shorter = next(simplifications(w), None)
+        if shorter is None:
             return w
-        w = apply_step(w, site)
+        w = shorter
 
 
 def reference_closure(identity, generators, multiply):

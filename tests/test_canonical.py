@@ -14,32 +14,19 @@ from conftest import (
 )
 from kiselman import canonical, errors
 from kiselman.canonical import (
-    StepKind,
-    StepSite,
-    apply_step,
     canonical_form,
     canonical_form_restricted,
     canonical_words,
-    eligible_steps,
     enumerate_kn,
     extend_canonical,
-    find_step,
     is_canonical,
-    is_special,
     multiply,
+    simplifications,
 )
 from kiselman.errors import ResourceGuardError
 from kiselman.words import STAR, delete, is_quasi_subword, parse_word, truncate
 
 W = parse_word
-
-
-def test_is_special_examples():
-    assert is_special((2, 1, 3, 2), 0, 3)
-    assert not is_special((1, 2, 1), 0, 2)
-    assert not is_special((2, 3, 2), 0, 2)
-    with pytest.raises(ValueError):
-        is_special((1, 2), 0, 1)
 
 
 def test_is_canonical_examples():
@@ -54,57 +41,44 @@ def test_is_canonical_matches_the_all_spans_check(w):
     assert is_canonical(w) == is_canonical_all_spans(w)
 
 
-def test_apply_step_on_the_worked_sequence():
+def test_simplifications_on_the_worked_sequence():
     w = W("bdbcdabcdc")
-    w = apply_step(w, StepSite(4, 8, StepKind.ALL_SMALLER))
-    assert w == W("bdbcabcdc")
-    w = apply_step(w, StepSite(1, 7, StepKind.ALL_SMALLER))
-    assert w == W("bbcabcdc")
-    w = apply_step(w, StepSite(0, 1, StepKind.ADJACENT))
-    assert w == W("bcabcdc")
-
-
-def test_apply_step_rejects_bad_sites():
-    with pytest.raises(ValueError):
-        apply_step((1, 2, 3), StepSite(0, 2, StepKind.ALL_LARGER))  # ends differ
-    with pytest.raises(ValueError):
-        apply_step((2, 1, 2), StepSite(0, 2, StepKind.ALL_LARGER))  # 1 < 2
-    with pytest.raises(ValueError):
-        apply_step((1, 2, 1), StepSite(0, 2, StepKind.ALL_SMALLER))
-    with pytest.raises(ValueError):
-        apply_step((1, 2, 1), StepSite(0, 2, StepKind.ADJACENT))
+    for shorter in (W("bdbcabcdc"), W("bbcabcdc"), W("bcabcdc")):
+        assert shorter in simplifications(w)
+        w = shorter
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: canonical_form_restricted((1, 2), 0), "k is a 1-based letter index"),
     (lambda: list(canonical_words(0, 3)), "alphabet size must be at least 1"),
-    (lambda: is_special((1, 2, 1), 2, 0), r"bad span \(2, 0\) for a word of length 3"),
-    (lambda: is_special((1, 2, 1), 0, 3), r"bad span \(0, 3\) for a word of length 3"),
-    (lambda: apply_step((1, 1), StepSite(0, 2, StepKind.ADJACENT)),
-     "out of range for length 2"),
-    (lambda: apply_step((1, 1), StepSite(-1, 1, StepKind.ADJACENT)),
-     "out of range for length 2"),
 ])
 def test_boundary_raises(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
 
-def test_find_step_examples():
-    assert find_step((1, 2, 1)) == StepSite(0, 2, StepKind.ALL_LARGER)
-    assert find_step((1, 1)) == StepSite(0, 1, StepKind.ADJACENT)
-    assert find_step((2, 1, 3, 2)) is None
+def test_simplifications_examples():
+    assert list(simplifications((1, 2, 1))) == [(1, 2)]  # ALL_LARGER
+    assert list(simplifications((2, 1, 2))) == [(1, 2)]  # ALL_SMALLER
+    assert list(simplifications((1, 1))) == [(1,)]  # ADJACENT
+    assert list(simplifications((1, 2, 1, 1))) == [(1, 2, 1), (1, 2, 1)]
+    assert list(simplifications((2, 1, 3, 2))) == []
 
 
 @given(words_over(5, 12))
-def test_find_step_none_means_canonical(w):
-    site = find_step(w)
-    if site is None:
-        assert is_canonical(w)
-    else:
-        shorter = apply_step(w, site)
+def test_no_simplification_means_canonical(w):
+    steps = list(simplifications(w))
+    assert (not steps) == is_canonical(w)
+    for shorter in steps:
         assert len(shorter) == len(w) - 1
         assert is_quasi_subword(shorter, w)
+
+
+@given(words_over(5, 12))
+def test_every_simplification_keeps_the_class(w):
+    c = canonical_form(w)
+    for shorter in simplifications(w):
+        assert canonical_form(shorter) == c
 
 
 def test_canonical_form_examples():

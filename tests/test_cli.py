@@ -368,14 +368,10 @@ def test_conjecture_sweep_vertex_guard(capsys):
     assert code == 3 and "max_vertices=6 exceeds MAX_CATALOG_VERTICES=5" in err
 
 
-def test_conjecture_sweep(capsys, tmp_path):
-    out_path = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "conjecture-sweep", "--max-vertices", "2",
-                           "--json", "--out", str(out_path))
+def test_conjecture_sweep(capsys):
+    code, out, _ = run_cli(capsys, "conjecture-sweep", "--max-vertices", "2", "--json")
     blob = json.loads(out)
-    assert code == 0 and blob["matched"] == 3
-    saved = json.loads(out_path.read_text())
-    assert saved["schema"] == 1 and saved["matched"] == 3
+    assert code == 0 and blob["schema"] == 1 and blob["matched"] == 3
     code, out, _ = run_cli(capsys, "conjecture-sweep", "--max-vertices", "2")
     assert code == 0 and out.splitlines() == [
         "n=1 edges=[-] hk=2 dynamics=2 match",
@@ -397,7 +393,8 @@ def test_conjecture_sweep_json_is_reproducible_but_for_seconds(capsys):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("flag", [["--search-on-mismatch"], ["--seed", "1"]])
+@pytest.mark.parametrize("flag", [["--search-on-mismatch"], ["--seed", "1"],
+                                  ["--out", "sweep.json"]])
 def test_conjecture_sweep_refuses_retired_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["conjecture-sweep", "--max-vertices", "1", *flag])

@@ -68,6 +68,17 @@ def test_sweep_rows_past_the_coset_guard_are_skipped(monkeypatch):
     assert report.to_json()["skipped"] == 7
 
 
+def test_sweep_rows_past_the_kn_guard_are_skipped(monkeypatch):
+    """A refused K_n skips every row of its vertex count; the sweep goes on."""
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 10)
+    report = conjecture_sweep(3)
+    skipped = [r for r in report.rows if r.skipped is not None]
+    assert len(report.rows) == 9 and len(skipped) == 6
+    assert all(r.dag.n == 3 for r in skipped)
+    assert all(r.skipped == "K_3 exceeds MAX_ELEMENTS=10" for r in skipped)
+    assert report.matched == 3 and report.mismatched == 0 and report.ok
+
+
 def test_build_universal_dag_small():
     sys2 = build_universal_dag(Dag(2, []))
     monoid = sys2.dynamics_monoid()

@@ -105,8 +105,8 @@ def test_local_maps_are_idempotent(arrow_system):
         assert tuple(t[x] for x in t) == t
     for s in arrow_system.states():
         for i in (1, 2):
-            once = arrow_system.local_apply(i, s)
-            assert arrow_system.local_apply(i, once) == once
+            once = arrow_system.evolve((i,), s)
+            assert arrow_system.evolve((i,), once) == once
 
 
 def test_update_system_validation():
@@ -173,7 +173,7 @@ def test_monoid_is_closed_under_composition(arrow_system):
 
 
 def test_token_and_index_local_maps_agree():
-    """``local_apply`` on tokens and ``local_table`` on indices are one map.
+    """``evolve`` of one letter on tokens and ``local_table`` on indices are one map.
 
     The orbit of ``verify_isomorphism`` runs on tokens and its relation check
     on tables, so its certificate needs both to be the same map.
@@ -185,7 +185,7 @@ def test_token_and_index_local_maps_agree():
         for i in range(1, sys.graph.n + 1):
             table = sys.local_table(i)
             for s in sys.states():
-                assert sys.state_index(sys.local_apply(i, s)) == table[sys.state_index(s)]
+                assert sys.state_index(sys.evolve((i,), s)) == table[sys.state_index(s)]
 
 
 def test_token_and_table_evolutions_agree():
@@ -219,7 +219,7 @@ def test_evolve_names_the_first_bad_letter_it_would_apply():
     with pytest.raises(ValueError, match=r"^vertex 9 out of range$"):
         sys.evolve((9, 2), s)
     with pytest.raises(ValueError, match=r"^vertex 4 out of range$"):
-        sys.local_apply(4, s)
+        sys.evolve((4,), s)
 
 
 def test_witness_words_reproduce_their_maps():
