@@ -31,9 +31,16 @@ letter and leave ``c``; ALL_SMALLER drops the old one, which leaves the
 canonical prefix before it, and pushes the letters after it, then ``g``,
 back onto the input.  The part kept is always canonical, so it is never
 longer than L_n, the longest canonical word of K_n (1, 2, 4, 6, 10, 14 for
-n = 1..6).  Reading a letter costs O(L_n); an ALL_SMALLER step deletes a
-letter for good and re-reads at most L_n.  The reduction is therefore
-linear in the length of the word, with a constant that depends on n alone.
+n = 1..6).
+
+Whether a letter is dropped depends on the kept prefix and the letter
+alone, so ``extend_canonical`` remembers the letters the current prefix
+drops and forgets them whenever the prefix changes.  A letter the prefix
+already dropped costs one set lookup; any other read costs O(L_n), and an
+ALL_SMALLER step deletes a letter for good and re-reads at most L_n.  A
+word with k prefix changes therefore costs O(|w| + k L_n): linear in its
+length, and on long random words, whose prefix soon stops changing, close
+to one lookup per letter.
 """
 
 from __future__ import annotations
@@ -93,31 +100,40 @@ def extend_canonical(c: Word, letters: Iterable[int]) -> Word:
     """Canonical form of ``c + letters`` for a canonical word ``c``.
 
     Letters are taken one at a time from a pending stack, so the re-feed
-    of an ALL_SMALLER step needs no recursion.
+    of an ALL_SMALLER step needs no recursion.  The kept prefix is stored
+    reversed, so ``rev.index(g)`` finds its last ``g`` and ``rev.insert(0,
+    g)`` appends.  ``dropped`` holds letters an ADJACENT or ALL_LARGER step
+    dropped from the current prefix; it is emptied on every branch that
+    changes the prefix, so a letter in it would be dropped again.
     """
-    out = list(c)
+    rev = list(c)
+    rev.reverse()
+    dropped = set()
     pending = list(letters)
     pending.reverse()
     while pending:
         g = pending.pop()
-        if g not in out:
-            out.append(g)
+        if g in dropped:
             continue
-        p = len(out) - 1
-        while out[p] != g:
-            p -= 1
-        gap = out[p + 1:]
+        if g not in rev:
+            rev.insert(0, g)
+            dropped.clear()
+            continue
+        p = rev.index(g)
+        gap = rev[:p]  # the letters after the last g, last first
         if not gap or min(gap) > g:
+            dropped.add(g)
             continue  # ADJACENT or ALL_LARGER: drop the new g
+        dropped.clear()
         if max(gap) < g:
             # ALL_SMALLER: drop the old g, then re-read the letters after it
-            del out[p:]
+            del rev[:p + 1]
             pending.append(g)
-            gap.reverse()
             pending.extend(gap)
             continue
-        out.append(g)  # the pair is special
-    return tuple(out)
+        rev.insert(0, g)  # the pair is special
+    rev.reverse()
+    return tuple(rev)
 
 
 def canonical_form_restricted(w: Word, k: int) -> Word:

@@ -137,10 +137,13 @@ def format_word(w: Word, style: str | None = "letters") -> str:
     """Render a word; ``parse_word(format_word(w, style)) == w`` for every style.
 
     Style ``None`` renders letters when every letter is at most 26 (``z``)
-    and indices otherwise.
+    and indices otherwise.  A letter below 1 has no rendering that parses
+    back, so every style refuses it.
     """
     if not w:
         return "-"
+    if min(w) < 1:
+        raise ValueError(f"letter indices are 1-based, got {min(w)}")
     if style is None:
         style = "letters" if max(w) <= 26 else "indices"
     if style == "letters":

@@ -61,6 +61,37 @@ def reference_truncate(w, a) -> tuple:
         return STAR
 
 
+def reference_extend_canonical(c, letters) -> tuple:
+    """Canonical form of ``c + letters``, scanning the kept prefix for every letter.
+
+    This is how ``extend_canonical`` was written before it remembered the
+    letters its kept prefix drops.
+    """
+    out = list(c)
+    pending = list(letters)
+    pending.reverse()
+    while pending:
+        g = pending.pop()
+        if g not in out:
+            out.append(g)
+            continue
+        p = len(out) - 1
+        while out[p] != g:
+            p -= 1
+        gap = out[p + 1:]
+        if not gap or min(gap) > g:
+            continue  # ADJACENT or ALL_LARGER: drop the new g
+        if max(gap) < g:
+            # ALL_SMALLER: drop the old g, then re-read the letters after it
+            del out[p:]
+            pending.append(g)
+            gap.reverse()
+            pending.extend(gap)
+            continue
+        out.append(g)  # the pair is special
+    return tuple(out)
+
+
 def reference_canonical_form_restricted(w, k) -> tuple:
     """Canonical form of ``w`` with every letter below ``k`` deleted.
 

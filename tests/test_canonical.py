@@ -10,6 +10,7 @@ from conftest import (
     random_order_normal_form,
     random_word,
     reference_closure,
+    reference_extend_canonical,
     words_over,
 )
 from kiselman import canonical, errors
@@ -130,6 +131,33 @@ def test_extend_canonical_cases():
     assert extend_canonical((2, 3, 1, 2), (3,)) == (1, 2, 3)
     assert leftmost_normal_form((2, 3, 1, 2, 3)) == (1, 2, 3)
     assert extend_canonical((), iter((1, 2, 1))) == (1, 2)
+
+
+@pytest.fixture(scope="module")
+def prefixes():
+    """Canonical prefixes: every element of K_4 and the longest of K_6."""
+    return list(enumerate_kn(4).canons) + [enumerate_kn(6).canons[-1]]
+
+
+@pytest.mark.parametrize("n", (3, 6, 26))
+def test_extend_canonical_matches_the_reference(n, prefixes):
+    """Long words, where the prefix soon stops changing and most letters are
+    dropped by the remembered set, then short ones, where it changes on most
+    reads; half of them also use the letters 0 and -1, below every prefix
+    letter."""
+    assert len(prefixes[-1]) == 14  # L_6
+    rng = random.Random(2000 + n)
+    for k in range(6):
+        pool = list(range(1, n + 1)) + ([0, -1] if k % 2 else [])
+        c = prefixes[-1] if k < 2 else rng.choice(prefixes)
+        v = tuple(rng.choice(pool) for _ in range(rng.randint(1000, 20000)))
+        assert extend_canonical(c, v) == reference_extend_canonical(c, v)
+    for k in range(2000):
+        pool = list(range(1, n + 1)) + ([0, -1] if k % 2 else [])
+        c = rng.choice(prefixes)
+        v = tuple(rng.choice(pool) for _ in range(rng.randint(0, 30)))
+        assert extend_canonical(c, v) == reference_extend_canonical(c, v)
+    assert canonical_form((0, -1, 0)) == (-1, 0)
 
 
 def test_products_agree_with_reducing_the_concatenation():

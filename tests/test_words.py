@@ -188,6 +188,10 @@ def test_format_word():
         format_word((27,), "letters")
     with pytest.raises(ValueError, match="unknown word style 'x'"):
         format_word((1,), "x")
+    for w in ((0,), (-3, 2)):
+        for style in ("letters", "indices", None):
+            with pytest.raises(ValueError, match=f"1-based, got {min(w)}"):
+                format_word(w, style)
 
 
 @given(words_over(26, 12))
